@@ -95,9 +95,8 @@ int main(int argc, char** argv) {
     // Assemble the distributed result parts (excluded from the timing,
     // like the paper's write-back to disk).
     auto& edges = results[rank];
-    edges.assign(image.size(), 0.0f);
-    st.write_back(edges);
-    comm.reduce<float>(edges, 0, [](float& a, float b) { a += b; });
+    edges.resize(image.size());
+    st.gather(edges, 0);
     comm.bcast(std::as_writable_bytes(std::span<float>(edges)), 0);
     env.finalize();
   });

@@ -106,9 +106,8 @@ std::vector<double> run_rank(psf::minimpi::Communicator& comm,
   PSF_CHECK(st.run(params.iterations).is_ok());
   *vtime = comm.timeline().now() - t0;
 
-  std::vector<double> result(field.size(), 0.0);
-  st.write_back(result);
-  comm.reduce<double>(result, 0, [](double& a, double b) { a += b; });
+  std::vector<double> result(field.size());
+  st.gather(result, 0);
   comm.bcast(std::as_writable_bytes(std::span<double>(result)), 0);
   env.finalize();
   return result;

@@ -135,9 +135,8 @@ Result run_framework(minimpi::Communicator& comm,
   result.vtime = comm.timeline().now() - t0;
   result.steady_vtime = st->stats().last_iteration_vtime;
 
-  result.field.assign(field.size(), 0.0);
-  st->write_back(result.field.data());
-  comm.reduce<double>(result.field, 0, [](double& a, double b) { a += b; });
+  result.field.resize(field.size());
+  st->gather(result.field.data(), 0);
   comm.bcast(std::as_writable_bytes(std::span<double>(result.field)), 0);
   result.checksum = checksum_of(result.field);
   env.finalize();
@@ -221,9 +220,8 @@ MonitoredResult run_framework_monitored(minimpi::Communicator& comm,
   result.vtime = comm.timeline().now() - t0;
   result.steady_vtime = sr.stats().last_step_vtime;
 
-  result.field.assign(field.size(), 0.0);
-  sr.write_back(result.field);
-  comm.reduce<double>(result.field, 0, [](double& a, double b) { a += b; });
+  result.field.resize(field.size());
+  sr.gather(result.field, 0);
   comm.bcast(std::as_writable_bytes(std::span<double>(result.field)), 0);
   result.checksum = checksum_of(result.field);
   env.finalize();

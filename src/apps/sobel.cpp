@@ -132,9 +132,8 @@ Result run_framework(minimpi::Communicator& comm,
 
   // Assemble the distributed result parts (excluded from the timing, like
   // the paper's write-back to disk).
-  result.image.assign(image.size(), 0.0f);
-  st->write_back(result.image.data());
-  comm.reduce<float>(result.image, 0, [](float& a, float b) { a += b; });
+  result.image.resize(image.size());
+  st->gather(result.image.data(), 0);
   comm.bcast(std::as_writable_bytes(std::span<float>(result.image)), 0);
   result.checksum = checksum_of(result.image);
   env.finalize();

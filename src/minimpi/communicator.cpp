@@ -885,14 +885,13 @@ void Communicator::bcast(std::span<std::byte> data, int root) {
 
 void Communicator::reduce_bytes(
     std::span<std::byte> data, std::size_t elem_size, int root,
-    const std::function<void(std::byte*, const std::byte*)>& combine) {
+    const std::function<void(const std::byte*)>& combine) {
   PSF_CHECK_MSG(elem_size > 0 && data.size() % elem_size == 0,
                 "reduce_bytes: buffer not a multiple of element size");
   const int n = size();
   if (n == 1) return;
   constexpr int kTag = 0x7fff0003;
   const int rel = (rank_ - root + n) % n;
-  std::vector<std::byte> incoming(data.size());
 
   // Binomial tree combine: at step 2^k, relative ranks that are odd
   // multiples of 2^k send to (rel - 2^k); even multiples receive+combine.
@@ -904,10 +903,12 @@ void Communicator::reduce_bytes(
     }
     const int child_rel = rel + step;
     if (child_rel < n) {
-      recv((child_rel + root) % n, kTag, incoming);
-      for (std::size_t off = 0; off < data.size(); off += elem_size) {
-        combine(data.data() + off, incoming.data() + off);
-      }
+      // Combine straight out of the pooled payload: no staging copy.
+      const Message incoming = recv_any((child_rel + root) % n, kTag);
+      PSF_CHECK_MSG(incoming.payload.size() == data.size(),
+                    "reduce_bytes: got " << incoming.payload.size()
+                                         << " bytes, expected " << data.size());
+      combine(incoming.payload.data());
     }
   }
 }

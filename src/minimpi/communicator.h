@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -295,9 +296,13 @@ class Communicator {
     requires std::is_trivially_copyable_v<T>
   void reduce(std::span<T> data, int root, Op op) {
     reduce_bytes(std::as_writable_bytes(data), sizeof(T), root,
-                 [&op](std::byte* dst, const std::byte* src) {
-                   op(*reinterpret_cast<T*>(dst),
-                      *reinterpret_cast<const T*>(src));
+                 [&op, data](const std::byte* src) {
+                   for (T& dst : data) {
+                     T value;
+                     std::memcpy(&value, src, sizeof(T));
+                     op(dst, value);
+                     src += sizeof(T);
+                   }
                  });
   }
 
@@ -334,10 +339,12 @@ class Communicator {
   void alltoallv(const std::vector<std::vector<std::byte>>& outbound, int tag,
                  std::vector<std::vector<std::byte>>& inbound);
 
-  /// Type-erased tree reduction (implementation detail of reduce<T>).
-  void reduce_bytes(
-      std::span<std::byte> data, std::size_t elem_size, int root,
-      const std::function<void(std::byte*, const std::byte*)>& combine);
+  /// Type-erased tree reduction (implementation detail of reduce<T>):
+  /// `combine(src)` folds one received buffer, laid out like `data`, into
+  /// `data`; it is called once per child message.
+  void reduce_bytes(std::span<std::byte> data, std::size_t elem_size,
+                    int root,
+                    const std::function<void(const std::byte*)>& combine);
 
  private:
   Mailbox& mailbox(int rank) {

@@ -201,6 +201,10 @@ void StencilReduce::write_back(void* global_out) const {
   st_->write_back(global_out);
 }
 
+void StencilReduce::gather(void* global_out, int root) {
+  st_->gather(global_out, root);
+}
+
 // ---------------------------------------------------------------------------
 // StageContext
 // ---------------------------------------------------------------------------

@@ -129,6 +129,9 @@ class StencilReduce {
   /// Distributed write-back of the grid (StencilRuntime::write_back).
   void write_back(void* global_out) const;
 
+  /// Collective gather of the grid to `root` (StencilRuntime::gather).
+  void gather(void* global_out, int root);
+
   // --- introspection --------------------------------------------------------
 
   struct Stats {
@@ -388,6 +391,7 @@ class TypedStencilReduce {
     return sr_->reduction().lookup(key, out);
   }
   void write_back(std::span<T> out) const { sr_->write_back(out.data()); }
+  void gather(std::span<T> out, int root) { sr_->gather(out.data(), root); }
 
   [[nodiscard]] const StencilReduce::Stats& stats() const noexcept {
     return sr_->stats();

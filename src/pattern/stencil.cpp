@@ -23,6 +23,7 @@ namespace psf::pattern {
 
 namespace {
 constexpr int kHaloTagBase = 0x5c0010;  ///< + 2*dim + direction
+constexpr int kGatherTag = kHaloTagBase + 6;  ///< after the six halo tags
 constexpr double kHostCopyBw = 2.0e10;  ///< multithreaded pack bandwidth
 
 // Checkpoint blob framing (docs/RESILIENCE.md): "PSFSTCKP" + version.
@@ -41,6 +42,47 @@ bool read_pod(std::span<const std::byte>& in, T& value) {
   std::memcpy(&value, in.data(), sizeof(T));
   in = in.subspan(sizeof(T));
   return true;
+}
+
+/// Grid extents padded to three dimensions with 1s.
+std::array<std::size_t, 3> extents3(const std::vector<std::size_t>& dims) {
+  std::array<std::size_t, 3> out = {1, 1, 1};
+  std::copy(dims.begin(), dims.end(), out.begin());
+  return out;
+}
+
+/// Calls `fn(c)` with the first cell of every line of the box [lo, hi)
+/// along `line_dim`, in row-major order. Lines run along the last user
+/// dimension: its cells are contiguous in every row-major layout of the grid
+/// (the internal dimensions after it have extent 1), so one line is one
+/// memcpy.
+template <typename T, typename Fn>
+void for_each_line(const std::array<T, 3>& lo, std::array<T, 3> hi,
+                   std::size_t line_dim, Fn fn) {
+  hi[line_dim] = lo[line_dim] + 1;
+  std::array<T, 3> c{};
+  for (c[0] = lo[0]; c[0] < hi[0]; ++c[0]) {
+    for (c[1] = lo[1]; c[1] < hi[1]; ++c[1]) {
+      for (c[2] = lo[2]; c[2] < hi[2]; ++c[2]) fn(c);
+    }
+  }
+}
+
+/// Copy a box of `ext` cells at global offset `off` into the row-major
+/// global grid of extents `dims`, one line at a time; `line(c)` points at
+/// the source of the line starting at box coordinate `c`.
+template <typename LineSource>
+void store_box(std::byte* out, const std::array<std::size_t, 3>& dims,
+               const std::array<std::size_t, 3>& off,
+               const std::array<std::size_t, 3>& ext, std::size_t line_dim,
+               std::size_t elem_bytes, LineSource line) {
+  const std::size_t line_bytes = ext[line_dim] * elem_bytes;
+  for_each_line<std::size_t>({0, 0, 0}, ext, line_dim, [&](const auto& c) {
+    const std::size_t dst =
+        ((off[0] + c[0]) * dims[1] + (off[1] + c[1])) * dims[2] + off[2] +
+        c[2];
+    std::memcpy(out + dst * elem_bytes, line(c), line_bytes);
+  });
 }
 }  // namespace
 
@@ -129,57 +171,59 @@ void StencilRuntime::setup() {
   out_.resize(cells * elem_bytes_);
 
   // Scatter: copy every padded cell whose global image exists. This also
-  // seeds halos (refreshed by exchanges) and the fixed global border.
-  for (std::size_t c0 = 0; c0 < padded_[0]; ++c0) {
-    for (std::size_t c1 = 0; c1 < padded_[1]; ++c1) {
-      // Walk dim 2 as a contiguous run where possible.
-      long long g0 = static_cast<long long>(goff3_[0] + c0) - halo3_[0];
-      long long g1 = static_cast<long long>(goff3_[1] + c1) - halo3_[1];
-      const long long dim0 =
-          ndims_ >= 1 ? static_cast<long long>(global_dims_[0]) : 1;
-      const long long dim1 =
-          ndims_ >= 2 ? static_cast<long long>(global_dims_[1]) : 1;
-      const long long dim2 =
-          ndims_ >= 3 ? static_cast<long long>(global_dims_[2]) : 1;
-      if (wrap_[0]) g0 = ((g0 % dim0) + dim0) % dim0;
-      if (wrap_[1]) g1 = ((g1 % dim1) + dim1) % dim1;
-      if (g0 < 0 || g0 >= dim0 || g1 < 0 || g1 >= dim1) continue;
-      // Walk dim 2 cell by cell when it wraps, as a run otherwise.
-      if (wrap_[2]) {
-        for (std::size_t c2 = 0; c2 < padded_[2]; ++c2) {
-          long long g2 =
-              static_cast<long long>(goff3_[2] + c2) - halo3_[2];
-          g2 = ((g2 % dim2) + dim2) % dim2;
-          const std::size_t src =
-              ((static_cast<std::size_t>(g0) * static_cast<std::size_t>(dim1) +
-                static_cast<std::size_t>(g1)) *
-                   static_cast<std::size_t>(dim2) +
-               static_cast<std::size_t>(g2)) *
-              elem_bytes_;
-          const std::size_t dst =
-              ((c0 * padded_[1] + c1) * padded_[2] + c2) * elem_bytes_;
-          std::memcpy(in_.data() + dst, global_grid_ + src, elem_bytes_);
-        }
-        continue;
-      }
-      const long long g2_first = static_cast<long long>(goff3_[2]) - halo3_[2];
-      const long long lo = std::max<long long>(0, -g2_first);
-      const long long hi = std::min<long long>(
-          static_cast<long long>(padded_[2]), dim2 - g2_first);
-      if (lo >= hi) continue;
-      const std::size_t src =
-          ((static_cast<std::size_t>(g0) * static_cast<std::size_t>(dim1) +
-            static_cast<std::size_t>(g1)) *
-               static_cast<std::size_t>(dim2) +
-           static_cast<std::size_t>(g2_first + lo)) *
-          elem_bytes_;
-      const std::size_t dst =
-          ((c0 * padded_[1] + c1) * padded_[2] + static_cast<std::size_t>(lo)) *
-          elem_bytes_;
-      std::memcpy(in_.data() + dst, global_grid_ + src,
-                  static_cast<std::size_t>(hi - lo) * elem_bytes_);
+  // seeds halos (refreshed by exchanges) and the fixed global border. Every
+  // padded line maps onto the same runs of consecutive global cells (one
+  // clipped run, or up to three when a periodic halo wraps around); each
+  // run is one memcpy per line.
+  const std::size_t line_dim = static_cast<std::size_t>(ndims_ - 1);
+  const auto gdims = extents3(global_dims_);
+  // Global coordinate of padded coordinate c along d; -1 outside a
+  // non-periodic grid.
+  const auto global_of = [&](std::size_t d, std::size_t c) -> long long {
+    const long long n = static_cast<long long>(gdims[d]);
+    const long long g = static_cast<long long>(goff3_[d] + c) - halo3_[d];
+    if (wrap_[d]) return ((g % n) + n) % n;
+    return g >= 0 && g < n ? g : -1;
+  };
+  struct Run {
+    std::size_t first;  ///< padded coordinate
+    long long global;   ///< its global coordinate
+    std::size_t length;
+  };
+  std::vector<Run> runs;
+  for (std::size_t c = 0; c < padded_[line_dim]; ++c) {
+    const long long g = global_of(line_dim, c);
+    if (g < 0) continue;
+    if (!runs.empty() && runs.back().first + runs.back().length == c &&
+        runs.back().global + static_cast<long long>(runs.back().length) ==
+            g) {
+      ++runs.back().length;
+    } else {
+      runs.push_back({c, g, 1});
     }
   }
+  for_each_line<std::size_t>({0, 0, 0}, padded_, line_dim, [&](auto c) {
+    std::array<long long, kMaxDims> g{};
+    for (std::size_t d = 0; d < kMaxDims; ++d) {
+      if (d == line_dim) continue;
+      g[d] = global_of(d, c[d]);
+      if (g[d] < 0) return;
+    }
+    for (const Run& run : runs) {
+      c[line_dim] = run.first;
+      g[line_dim] = run.global;
+      const std::size_t src =
+          ((static_cast<std::size_t>(g[0]) * gdims[1] +
+            static_cast<std::size_t>(g[1])) *
+               gdims[2] +
+           static_cast<std::size_t>(g[2])) *
+          elem_bytes_;
+      const std::size_t dst =
+          ((c[0] * padded_[1] + c[1]) * padded_[2] + c[2]) * elem_bytes_;
+      std::memcpy(in_.data() + dst, global_grid_ + src,
+                  run.length * elem_bytes_);
+    }
+  });
   std::memcpy(out_.data(), in_.data(), in_.size());
 
   const int num_devices = static_cast<int>(env_->active_devices().size());
@@ -201,26 +245,42 @@ void StencilRuntime::setup() {
     }
   }
 
-  // Count cell classes once (geometry is fixed between repartitions).
-  stats_.inner_cells = 0;
-  stats_.boundary_cells = 0;
-  for (std::size_t c0 = static_cast<std::size_t>(halo3_[0]);
-       c0 < static_cast<std::size_t>(halo3_[0]) + ext3_[0]; ++c0) {
-    for (std::size_t c1 = static_cast<std::size_t>(halo3_[1]);
-         c1 < static_cast<std::size_t>(halo3_[1]) + ext3_[1]; ++c1) {
-      for (std::size_t c2 = static_cast<std::size_t>(halo3_[2]);
-           c2 < static_cast<std::size_t>(halo3_[2]) + ext3_[2]; ++c2) {
-        const std::array<int, kMaxDims> c = {static_cast<int>(c0),
-                                             static_cast<int>(c1),
-                                             static_cast<int>(c2)};
-        if (is_boundary_cell(c)) {
-          ++stats_.boundary_cells;
-        } else {
-          ++stats_.inner_cells;
-        }
-      }
+  // Segment cut points and cell-class counts, once per geometry. Along
+  // dimension d a cell is fixed when it lies within `halo_` of a
+  // non-periodic global border, and boundary when it lies within the halo
+  // width of a face that has a neighbor rank (it reads halo data). The
+  // inner box is the product of the per-dimension inner runs.
+  stats_.inner_cells = 1;
+  for (int d = 0; d < kMaxDims; ++d) {
+    const std::size_t dd = static_cast<std::size_t>(d);
+    if (d >= ndims_) {
+      segment_cuts_[dd] = {0, 0, 0, 1, 1, 1};
+      continue;
     }
+    const int h = halo3_[dd];
+    const int ext = static_cast<int>(ext3_[dd]);
+    const int first = h;
+    const int last = h + ext;
+    const int inner_lo = neighbor_lo_[dd] != minimpi::kNoNeighbor ? 2 * h : h;
+    const int inner_hi = neighbor_hi_[dd] != minimpi::kNoNeighbor ? ext : last;
+    int fixed_lo = first;
+    int fixed_hi = last;
+    if (!wrap_[dd]) {
+      // Padded coordinate c has global coordinate goff + c - h.
+      const long long goff = static_cast<long long>(goff3_[dd]);
+      const long long global = static_cast<long long>(global_dims_[dd]);
+      fixed_lo = static_cast<int>(
+          std::clamp<long long>(halo_ - goff + h, first, last));
+      fixed_hi = static_cast<int>(
+          std::clamp<long long>(global - halo_ - goff + h, fixed_lo, last));
+    }
+    const int cut_lo = std::clamp(inner_lo, fixed_lo, fixed_hi);
+    const int cut_hi = std::clamp(inner_hi, cut_lo, fixed_hi);
+    segment_cuts_[dd] = {first, fixed_lo, cut_lo, cut_hi, fixed_hi, last};
+    stats_.inner_cells *=
+        static_cast<std::size_t>(std::max(0, inner_hi - inner_lo));
   }
+  stats_.boundary_cells = ext3_[0] * ext3_[1] * ext3_[2] - stats_.inner_cells;
 
   PSF_LOG(kDebug, "stencil")
       << "rank " << comm.rank() << ": sub-grid " << ext3_[0] << "x"
@@ -230,48 +290,28 @@ void StencilRuntime::setup() {
   ready_ = true;
 }
 
-bool StencilRuntime::is_boundary_cell(
-    const std::array<int, kMaxDims>& c) const noexcept {
-  for (int d = 0; d < ndims_; ++d) {
-    const std::size_t dd = static_cast<std::size_t>(d);
-    const int h = halo3_[dd];
-    if (neighbor_lo_[dd] != minimpi::kNoNeighbor && c[d] < 2 * h) return true;
-    if (neighbor_hi_[dd] != minimpi::kNoNeighbor &&
-        c[d] >= static_cast<int>(ext3_[dd])) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void StencilRuntime::pack_box(const std::array<int, kMaxDims>& lo,
                               const std::array<int, kMaxDims>& hi,
                               std::byte* dst) const {
-  std::size_t offset = 0;
-  for (int c0 = lo[0]; c0 < hi[0]; ++c0) {
-    for (int c1 = lo[1]; c1 < hi[1]; ++c1) {
-      const std::size_t run = static_cast<std::size_t>(hi[2] - lo[2]);
-      const std::array<int, kMaxDims> c = {c0, c1, lo[2]};
-      std::memcpy(dst + offset, in_.data() + padded_index(c) * elem_bytes_,
-                  run * elem_bytes_);
-      offset += run * elem_bytes_;
-    }
-  }
+  const std::size_t line_dim = static_cast<std::size_t>(ndims_ - 1);
+  const std::size_t line_bytes =
+      static_cast<std::size_t>(hi[line_dim] - lo[line_dim]) * elem_bytes_;
+  for_each_line(lo, hi, line_dim, [&](const auto& c) {
+    std::memcpy(dst, in_.data() + padded_index(c) * elem_bytes_, line_bytes);
+    dst += line_bytes;
+  });
 }
 
 void StencilRuntime::unpack_box(const std::array<int, kMaxDims>& lo,
                                 const std::array<int, kMaxDims>& hi,
                                 const std::byte* src) {
-  std::size_t offset = 0;
-  for (int c0 = lo[0]; c0 < hi[0]; ++c0) {
-    for (int c1 = lo[1]; c1 < hi[1]; ++c1) {
-      const std::size_t run = static_cast<std::size_t>(hi[2] - lo[2]);
-      const std::array<int, kMaxDims> c = {c0, c1, lo[2]};
-      std::memcpy(in_.data() + padded_index(c) * elem_bytes_, src + offset,
-                  run * elem_bytes_);
-      offset += run * elem_bytes_;
-    }
-  }
+  const std::size_t line_dim = static_cast<std::size_t>(ndims_ - 1);
+  const std::size_t line_bytes =
+      static_cast<std::size_t>(hi[line_dim] - lo[line_dim]) * elem_bytes_;
+  for_each_line(lo, hi, line_dim, [&](const auto& c) {
+    std::memcpy(in_.data() + padded_index(c) * elem_bytes_, src, line_bytes);
+    src += line_bytes;
+  });
 }
 
 std::size_t StencilRuntime::exchange_dim(int dim) {
@@ -425,12 +465,25 @@ void StencilRuntime::walk_rows(int device_index, std::size_t row_begin,
   const std::byte* in = old_grid;
   std::byte* out = new_grid;
 
-  // Row-vectorized dispatch (support/simd.h): batch maximal memory-
-  // contiguous runs of stencil cells into one row_fn_ call. Only for pure
-  // sweep passes — the fused emit hook reads each output cell right after
-  // the scalar call writes it, so emitting passes keep the per-cell path.
+  // Row-vectorized dispatch (support/simd.h): one row_fn_ call per segment.
+  // Only for pure sweep passes — the fused emit hook reads each output cell
+  // right after the scalar call writes it, so emitting passes go per cell.
   const bool use_rows = apply_stencil && emit == nullptr &&
                         row_fn_ != nullptr && support::simd::enabled();
+  // Lines run along the last user dimension, contiguous in padded memory
+  // (the internal dimensions after it have the single coordinate 0).
+  const std::size_t line_dim = static_cast<std::size_t>(ndims_ - 1);
+  const auto& cuts = segment_cuts_;
+  constexpr int kInner = 0;
+  constexpr int kBoundary = 1;
+  constexpr int kFixed = 2;
+  constexpr std::array<int, 5> kRunClass = {kFixed, kBoundary, kInner,
+                                            kBoundary, kFixed};
+  const auto coord_class = [&](std::size_t d, int coord) {
+    std::size_t run = 0;
+    while (run < 4 && coord >= cuts[d][run + 1]) ++run;
+    return kRunClass[run];
+  };
 
   const auto body = [&](const devsim::BlockContext& ctx) {
     // A fresh staging object per block launch keeps host replay after a
@@ -439,86 +492,76 @@ void StencilRuntime::walk_rows(int device_index, std::size_t row_begin,
         (emit != nullptr && sink != nullptr)
             ? sink->block_object(device_index, ctx.block_id, want_inner)
             : nullptr;
-    int offset_user[kMaxDims] = {0, 0, 0};
     int size_user[kMaxDims] = {0, 0, 0};
     for (int d = 0; d < ndims_; ++d) {
       size_user[d] = static_cast<int>(padded_[static_cast<std::size_t>(d)]);
     }
-    int run_offset[kMaxDims] = {0, 0, 0};
-    int run_count = 0;
-    std::size_t run_next = 0;  ///< padded index the next run cell must have
-    const auto flush_run = [&] {
-      if (run_count == 0) return;
-      row_fn_(in, out, run_offset, size_user, run_count, parameter_);
-      run_count = 0;
-    };
-    for (std::size_t row = row_begin + split.begin(ctx.block_id);
-         row < row_begin + split.end(ctx.block_id); ++row) {
-      const int c0 = static_cast<int>(row) + halo3_[0];
-      for (int c1 = halo3_[1]; c1 < static_cast<int>(ext3_[1]) + halo3_[1];
-           ++c1) {
-        for (int c2 = halo3_[2]; c2 < static_cast<int>(ext3_[2]) + halo3_[2];
-             ++c2) {
-          const std::array<int, kMaxDims> c = {c0, c1, c2};
-          // Fixed global border: copy through on the boundary pass.
-          // Periodic dimensions wrap instead and have no fixed cells.
-          bool fixed = false;
-          for (int d = 0; d < ndims_; ++d) {
-            const std::size_t dd = static_cast<std::size_t>(d);
-            if (wrap_[dd]) continue;
-            const long long g = static_cast<long long>(goff3_[dd]) + c[d] -
-                                halo3_[dd];
-            if (g < halo_ ||
-                g >= static_cast<long long>(global_dims_[dd]) - halo_) {
-              fixed = true;
-              break;
-            }
-          }
-          if (fixed) {
-            // Fixed cells belong to the boundary pass (skip on inner).
-            if (want_inner) continue;
-            if (apply_stencil) {
-              std::memcpy(out + padded_index(c) * elem_bytes_,
-                          in + padded_index(c) * elem_bytes_, elem_bytes_);
-            }
-          } else {
-            if (is_boundary_cell(c) == want_inner) continue;
-            offset_user[0] = c[0];
-            if (ndims_ >= 2) offset_user[1] = c[1];
-            if (ndims_ >= 3) offset_user[2] = c[2];
-            if (apply_stencil) {
-              if (use_rows) {
-                // Extend the current run while cells stay contiguous in the
-                // padded grid (fixed/skipped cells and the halo gap between
-                // user rows both break contiguity and flush).
-                const std::size_t idx = padded_index(c);
-                if (run_count > 0 && idx == run_next) {
-                  ++run_count;
-                  ++run_next;
-                } else {
-                  flush_run();
-                  run_offset[0] = offset_user[0];
-                  run_offset[1] = offset_user[1];
-                  run_offset[2] = offset_user[2];
-                  run_count = 1;
-                  run_next = idx + 1;
-                }
-              } else {
-                stencil_(in, out, offset_user, size_user, parameter_);
-              }
-            }
-          }
-          if (staged != nullptr) {
-            offset_user[0] = c[0];
-            if (ndims_ >= 2) offset_user[1] = c[1];
-            if (ndims_ >= 3) offset_user[2] = c[2];
-            emit(staged, old_grid, new_grid, offset_user, size_user,
-                 emit_parameter);
-          }
+    // The block's range: its rows in dim 0, the whole interior elsewhere.
+    std::array<int, kMaxDims> lo{};
+    std::array<int, kMaxDims> hi{};
+    for (std::size_t d = 0; d < kMaxDims; ++d) {
+      lo[d] = cuts[d].front();
+      hi[d] = cuts[d].back();
+    }
+    lo[0] = static_cast<int>(row_begin + split.begin(ctx.block_id)) +
+            halo3_[0];
+    hi[0] = static_cast<int>(row_begin + split.end(ctx.block_id)) + halo3_[0];
+    const int line_lo = lo[line_dim];
+    const int line_hi = hi[line_dim];
+    lo[line_dim] = 0;  // the outer loops below take one pass over the line
+    hi[line_dim] = 1;
+
+    std::array<int, kMaxDims> c{};
+    int& pos = c[line_dim];
+    // One segment: cells [begin, end) of the line at `c`, all of class cls.
+    const auto visit = [&](int cls, int begin, int end) {
+      if ((cls == kInner) != want_inner) return;
+      pos = begin;
+      if (apply_stencil && cls == kFixed) {
+        // Fixed global border: copied through on the boundary pass.
+        const std::size_t base = padded_index(c) * elem_bytes_;
+        std::memcpy(out + base, in + base,
+                    static_cast<std::size_t>(end - begin) * elem_bytes_);
+      } else if (use_rows) {
+        row_fn_(in, out, c.data(), size_user, end - begin, parameter_);
+        return;
+      }
+      const bool per_cell_stencil = apply_stencil && cls != kFixed;
+      if (!per_cell_stencil && staged == nullptr) return;
+      for (pos = begin; pos < end; ++pos) {
+        if (per_cell_stencil) {
+          stencil_(in, out, c.data(), size_user, parameter_);
+        }
+        if (staged != nullptr) {
+          emit(staged, old_grid, new_grid, c.data(), size_user,
+               emit_parameter);
         }
       }
+    };
+
+    for (int c0 = lo[0]; c0 < hi[0]; ++c0) {
+      const int class0 = line_dim > 0 ? coord_class(0, c0) : kInner;
+      for (int c1 = lo[1]; c1 < hi[1]; ++c1) {
+        const int outer_class =
+            std::max(class0, line_dim > 1 ? coord_class(1, c1) : kInner);
+        c = {c0, c1, 0};
+        // The line's five runs, clipped to the block, with adjacent runs of
+        // the same class merged into one segment.
+        int seg_class = -1;
+        int seg_begin = line_lo;
+        for (std::size_t run = 0; run < kRunClass.size(); ++run) {
+          const int begin = std::max(cuts[line_dim][run], line_lo);
+          const int end = std::min(cuts[line_dim][run + 1], line_hi);
+          if (begin >= end) continue;
+          const int cls = std::max(outer_class, kRunClass[run]);
+          if (cls == seg_class) continue;
+          if (seg_class >= 0) visit(seg_class, seg_begin, begin);
+          seg_class = cls;
+          seg_begin = begin;
+        }
+        if (seg_class >= 0) visit(seg_class, seg_begin, line_hi);
+      }
     }
-    flush_run();
   };
   device.run_blocks(blocks, 0, body);
   if (device.lost()) {
@@ -1112,21 +1155,70 @@ support::Status StencilRuntime::run(int iterations) {
 
 void StencilRuntime::write_back(void* global_out) const {
   PSF_CHECK_MSG(ready_, "write_back() before any start()");
-  std::byte* out = static_cast<std::byte*>(global_out);
-  const std::size_t dim1 =
-      ndims_ >= 2 ? global_dims_[1] : 1;
-  const std::size_t dim2 = ndims_ >= 3 ? global_dims_[2] : 1;
-  for (std::size_t c0 = 0; c0 < ext3_[0]; ++c0) {
-    for (std::size_t c1 = 0; c1 < ext3_[1]; ++c1) {
-      const std::array<int, kMaxDims> local = {
-          static_cast<int>(c0) + halo3_[0], static_cast<int>(c1) + halo3_[1],
-          halo3_[2]};
-      const std::size_t src = padded_index(local) * elem_bytes_;
-      const std::size_t dst =
-          (((goff3_[0] + c0) * dim1 + (goff3_[1] + c1)) * dim2 + goff3_[2]) *
-          elem_bytes_;
-      std::memcpy(out + dst, in_.data() + src, ext3_[2] * elem_bytes_);
+  store_box(static_cast<std::byte*>(global_out), extents3(global_dims_),
+            goff3_, ext3_, static_cast<std::size_t>(ndims_ - 1), elem_bytes_,
+            [&](const std::array<std::size_t, kMaxDims>& c) {
+              const std::array<int, kMaxDims> local = {
+                  static_cast<int>(c[0]) + halo3_[0],
+                  static_cast<int>(c[1]) + halo3_[1],
+                  static_cast<int>(c[2]) + halo3_[2]};
+              return in_.data() + padded_index(local) * elem_bytes_;
+            });
+}
+
+void StencilRuntime::gather(void* global_out, int root) {
+  PSF_CHECK_MSG(ready_, "gather() before any start()");
+  auto& comm = env_->comm();
+  // Each box travels as a header (global offset, then extents, internal
+  // 3-D order) followed by its cells, packed row-major.
+  using BoxHeader = std::array<std::uint64_t, 2 * kMaxDims>;
+  if (comm.rank() != root) {
+    BoxHeader header{};
+    std::array<int, kMaxDims> hi{};
+    for (std::size_t d = 0; d < kMaxDims; ++d) {
+      header[d] = goff3_[d];
+      header[kMaxDims + d] = ext3_[d];
+      hi[d] = halo3_[d] + static_cast<int>(ext3_[d]);
     }
+    auto payload = comm.acquire_buffer(
+        sizeof(BoxHeader) + ext3_[0] * ext3_[1] * ext3_[2] * elem_bytes_);
+    std::memcpy(payload.data(), header.data(), sizeof(BoxHeader));
+    pack_box(halo3_, hi, payload.data() + sizeof(BoxHeader));
+    comm.send_pooled(root, kGatherTag, std::move(payload));
+    return;
+  }
+
+  write_back(global_out);
+  const auto dims = extents3(global_dims_);
+  // Receive in rank order so the root's virtual clock is deterministic.
+  for (int source = 0; source < comm.size(); ++source) {
+    if (source == root) continue;
+    const auto message = comm.recv_any(source, kGatherTag);
+    const auto bytes = message.payload.bytes();
+    PSF_CHECK_MSG(bytes.size() >= sizeof(BoxHeader),
+                  "gather: short box message from rank " << source);
+    BoxHeader header{};
+    std::memcpy(header.data(), bytes.data(), sizeof(BoxHeader));
+    std::array<std::size_t, kMaxDims> off{};
+    std::array<std::size_t, kMaxDims> ext{};
+    for (std::size_t d = 0; d < kMaxDims; ++d) {
+      off[d] = static_cast<std::size_t>(header[d]);
+      ext[d] = static_cast<std::size_t>(header[kMaxDims + d]);
+      PSF_CHECK_MSG(off[d] + ext[d] <= dims[d],
+                    "gather: box from rank " << source
+                                             << " exceeds the global grid");
+    }
+    const std::size_t row_bytes = ext[2] * elem_bytes_;
+    PSF_CHECK_MSG(
+        bytes.size() == sizeof(BoxHeader) + ext[0] * ext[1] * row_bytes,
+        "gather: box size mismatch from rank " << source);
+    const std::byte* cells = bytes.data() + sizeof(BoxHeader);
+    store_box(static_cast<std::byte*>(global_out), dims, off, ext,
+              static_cast<std::size_t>(ndims_ - 1), elem_bytes_,
+              [&](const std::array<std::size_t, kMaxDims>& c) {
+                return cells +
+                       ((c[0] * ext[1] + c[1]) * ext[2] + c[2]) * elem_bytes_;
+              });
   }
 }
 

@@ -131,6 +131,11 @@ class StencilRuntime {
   /// output array (same extents as the input grid).
   void write_back(void* global_out) const;
 
+  /// Collective result assembly: every rank's interior box lands in
+  /// `global_out` on `root` (same extents as the input grid). Non-root
+  /// ranks send their owned box once and leave their `global_out` untouched.
+  void gather(void* global_out, int root);
+
   // --- fused reduction hooks (pattern/compose.h) ----------------------------
 
   /// Install the fused stencil_reduce emit: while installed, every compute
@@ -236,24 +241,21 @@ class StencilRuntime {
   /// Null when the device mix has no accelerator.
   devsim::StreamPipeline* halo_pipeline();
 
-  /// Apply the stencil to all cells in rows [row_begin, row_end) of dim 0,
-  /// where each cell is classified inner/boundary; `want_inner` selects
-  /// which class to compute this pass.
+  /// Apply the stencil to the cells of one class in rows [row_begin,
+  /// row_end) of dim 0; `want_inner` selects inner cells, otherwise the
+  /// boundary and fixed-border cells.
   void compute_rows(int device_index, std::size_t row_begin,
                     std::size_t row_end, bool want_inner);
 
   /// Shared cell walk behind compute_rows and reduce_pass: one device's
   /// rows, one cell class, optionally applying the stencil and/or emitting
-  /// into `sink`. `old_grid`/`new_grid` are the sweep's input/output.
+  /// into `sink`. `old_grid`/`new_grid` are the sweep's input/output. Walks
+  /// each line along the last user dimension as the segments segment_cuts_
+  /// delimits, in row-major order.
   void walk_rows(int device_index, std::size_t row_begin, std::size_t row_end,
                  bool want_inner, bool apply_stencil, CellEmitFn emit,
                  const void* emit_parameter, StencilEmitSink* sink,
                  const std::byte* old_grid, std::byte* new_grid);
-
-  /// True if the cell needs halo data (lies within `halo_` of a face that
-  /// has a neighbor rank).
-  [[nodiscard]] bool is_boundary_cell(const std::array<int, kMaxDims>& c)
-      const noexcept;
 
   /// After a device loss: re-split the interior rows over the survivors
   /// (lost devices get zero rows from the next sweep on). The row split is
@@ -285,6 +287,11 @@ class StencilRuntime {
   std::array<int, kMaxDims> neighbor_lo_ = {-2, -2, -2};
   std::array<int, kMaxDims> neighbor_hi_ = {-2, -2, -2};
   std::array<bool, kMaxDims> wrap_ = {false, false, false};
+  /// Per dimension, the padded coordinates [c0, c5) of the interior split
+  /// into five runs: fixed [c0,c1), boundary [c1,c2), inner [c2,c3),
+  /// boundary [c3,c4), fixed [c4,c5). A cell takes the highest class of its
+  /// coordinates (fixed > boundary > inner). Unused dimensions are inner.
+  std::array<std::array<int, 6>, kMaxDims> segment_cuts_{};
   support::AlignedBuffer in_;
   support::AlignedBuffer out_;
 

@@ -351,6 +351,10 @@ class TypedST {
   void write_back(std::span<T> out) const {
     runtime_->write_back(out.data());
   }
+  /// Collective: the whole grid lands in `out` on `root` only.
+  void gather(std::span<T> out, int root) {
+    runtime_->gather(out.data(), root);
+  }
 
   [[nodiscard]] StencilRuntime& raw() noexcept { return *runtime_; }
 

@@ -441,7 +441,10 @@ void Server::runner_loop() {
           continue;  // promote_due drained backoff_; re-evaluate
         }
         if (started_ && !backoff_.empty()) {
-          dispatch_cv_.wait_until(lock, backoff_.begin()->first.first);
+          // Copy the due time: wait_until reads it after waking, when the
+          // entry may already have been erased by a cancel or a promotion.
+          const auto due = backoff_.begin()->first.first;
+          dispatch_cv_.wait_until(lock, due);
         } else {
           dispatch_cv_.wait(lock);
         }

@@ -158,7 +158,9 @@ TEST(ParallelFor, StealsFromASleepingParticipant) {
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     // Everything else completed while index 0 was still asleep.
-    if (i != 0) EXPECT_LT(finished_at[i], finished_at[0]) << "index " << i;
+    if (i != 0) {
+      EXPECT_LT(finished_at[i], finished_at[0]) << "index " << i;
+    }
   }
 }
 

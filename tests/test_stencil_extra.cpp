@@ -1,13 +1,22 @@
 // PSF — extended stencil tests: wider halos (radius-2 stencils), 1-D
-// grids, float elements, runtime reuse, and a parameterized sweep over
-// grid shapes and topologies.
+// grids, float elements, runtime reuse, a parameterized sweep over grid
+// shapes and topologies, the segment walk against a per-cell oracle, and
+// the owned-box gather.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/reduction_object.h"
 #include "support/rng.h"
+#include "support/simd.h"
 
 namespace psf::pattern {
 namespace {
@@ -383,6 +392,526 @@ TEST(StencilPeriodic, MixedPeriodicAndFixed) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_NEAR(assembled[i], expected[i], 1e-12) << "cell " << i;
   }
+}
+
+}  // namespace
+}  // namespace psf::pattern
+
+namespace psf::pattern {
+namespace {
+
+// --- segment walk vs a per-cell oracle -------------------------------------------
+
+using Cell = std::array<int, 3>;
+
+struct WalkCase {
+  int ndims = 1;
+  int halo = 1;
+  int ranks = 1;
+  int gpus = 0;
+  std::vector<int> topology;
+  std::vector<std::size_t> dims;
+  std::vector<bool> periodic;
+};
+
+std::string describe(const WalkCase& wc) {
+  std::string out = "ndims=" + std::to_string(wc.ndims) +
+                    " halo=" + std::to_string(wc.halo) +
+                    " ranks=" + std::to_string(wc.ranks) +
+                    " gpus=" + std::to_string(wc.gpus) + " dims/topo/periodic=";
+  for (int d = 0; d < wc.ndims; ++d) {
+    const auto dd = static_cast<std::size_t>(d);
+    out += " " + std::to_string(wc.dims[dd]) + "/" +
+           std::to_string(wc.topology[dd]) + "/" +
+           (wc.periodic[dd] ? "p" : "f");
+  }
+  return out;
+}
+
+/// Random geometry: extents not divisible by the rank count, sub-grids down
+/// to exactly the halo width, periodic/fixed/mixed borders.
+WalkCase draw_case(support::Xoshiro256& rng) {
+  WalkCase wc;
+  wc.ndims = 1 + static_cast<int>(rng.next_below(3));
+  wc.halo = 1 + static_cast<int>(rng.next_below(2));
+  wc.ranks = 1 + static_cast<int>(rng.next_below(8));
+  wc.gpus = static_cast<int>(rng.next_below(2));
+  wc.topology.assign(static_cast<std::size_t>(wc.ndims), 1);
+  int rest = wc.ranks;
+  for (int p = 2; rest > 1;) {
+    if (rest % p != 0) {
+      ++p;
+      continue;
+    }
+    wc.topology[rng.next_below(static_cast<std::uint64_t>(wc.ndims))] *= p;
+    rest /= p;
+  }
+  const int border_mode = static_cast<int>(rng.next_below(3));
+  const bool tight = rng.next_below(4) == 0;
+  for (int d = 0; d < wc.ndims; ++d) {
+    const auto parts = static_cast<std::size_t>(
+        wc.topology[static_cast<std::size_t>(d)]);
+    const std::size_t extra =
+        tight ? rng.next_below(parts + 1)
+              : rng.next_below(3 * parts + (wc.ndims == 3 ? 3 : 12));
+    wc.dims.push_back(parts * static_cast<std::size_t>(wc.halo) + extra);
+    wc.periodic.push_back(border_mode == 0   ? false
+                          : border_mode == 1 ? true
+                                             : rng.next_below(2) == 0);
+  }
+  return wc;
+}
+
+enum class CellClass { kInner, kBoundary, kFixed };
+
+/// Brute-force per-cell classification of one rank's interior, in padded
+/// coordinates (unused dimensions stay 0). Row-major order.
+struct Oracle {
+  std::vector<Cell> inner;
+  std::vector<Cell> boundary;        ///< halo-reading, not fixed
+  std::vector<Cell> boundary_pass;   ///< boundary and fixed, row-major
+  std::size_t stats_inner = 0;
+  std::size_t stats_boundary = 0;
+};
+
+Oracle classify(const WalkCase& wc, const std::vector<std::size_t>& ext,
+                const std::vector<std::size_t>& off) {
+  Oracle oracle;
+  const int h = wc.halo;
+  std::array<int, 3> lo = {0, 0, 0};
+  std::array<int, 3> hi = {1, 1, 1};
+  for (int d = 0; d < wc.ndims; ++d) {
+    lo[static_cast<std::size_t>(d)] = h;
+    hi[static_cast<std::size_t>(d)] =
+        h + static_cast<int>(ext[static_cast<std::size_t>(d)]);
+  }
+  Cell c{};
+  for (c[0] = lo[0]; c[0] < hi[0]; ++c[0]) {
+    for (c[1] = lo[1]; c[1] < hi[1]; ++c[1]) {
+      for (c[2] = lo[2]; c[2] < hi[2]; ++c[2]) {
+        bool fixed = false;
+        bool halo_reading = false;
+        for (int d = 0; d < wc.ndims; ++d) {
+          const auto dd = static_cast<std::size_t>(d);
+          const long long g =
+              static_cast<long long>(off[dd]) + c[dd] - h;
+          const auto global = static_cast<long long>(wc.dims[dd]);
+          if (!wc.periodic[dd] && (g < h || g >= global - h)) fixed = true;
+          const bool has_lo = wc.periodic[dd] || off[dd] > 0;
+          const bool has_hi =
+              wc.periodic[dd] || off[dd] + ext[dd] < wc.dims[dd];
+          if ((has_lo && c[dd] < 2 * h) ||
+              (has_hi && c[dd] >= static_cast<int>(ext[dd]))) {
+            halo_reading = true;
+          }
+        }
+        (halo_reading ? oracle.stats_boundary : oracle.stats_inner) += 1;
+        if (fixed) {
+          oracle.boundary_pass.push_back(c);
+        } else if (halo_reading) {
+          oracle.boundary.push_back(c);
+          oracle.boundary_pass.push_back(c);
+        } else {
+          oracle.inner.push_back(c);
+        }
+      }
+    }
+  }
+  return oracle;
+}
+
+/// Per-rank cell log. Each block launch fetches its staging object first
+/// (StencilEmitSink), which points the calling thread at that block's log,
+/// so the record is exact at any executor width; concatenating the logs in
+/// (device, block) order gives the pass's visit order.
+struct CellLog {
+  struct Block {
+    std::vector<Cell> stencil;
+    std::vector<Cell> emit;
+  };
+  std::mutex mutex;
+  std::map<std::tuple<int, int, int>, Block> blocks;  ///< (pass, dev, blk)
+  static inline thread_local Block* current = nullptr;
+
+  std::vector<Cell> concat(int pass, bool emits) const {
+    std::vector<Cell> out;
+    for (const auto& [key, block] : blocks) {
+      if (std::get<0>(key) != pass) continue;
+      const auto& cells = emits ? block.emit : block.stencil;
+      out.insert(out.end(), cells.begin(), cells.end());
+    }
+    return out;
+  }
+};
+
+Cell to_cell(const int* offset, const int* size) {
+  Cell c{};
+  for (std::size_t d = 0; d < 3 && size[d] > 0; ++d) c[d] = offset[d];
+  return c;
+}
+
+void record_stencil(const void* /*input*/, void* /*output*/, const int* offset,
+                    const int* size, const void* /*parameter*/) {
+  CellLog::current->stencil.push_back(to_cell(offset, size));
+}
+
+void ignore_cell(const void* /*input*/, void* /*output*/,
+                 const int* /*offset*/, const int* /*size*/,
+                 const void* /*parameter*/) {}
+
+void record_emit(ReductionObject* /*obj*/, const void* /*old_grid*/,
+                 const void* /*new_grid*/, const int* offset, const int* size,
+                 const void* /*parameter*/) {
+  CellLog::current->emit.push_back(to_cell(offset, size));
+}
+
+void sum_doubles(void* dst, const void* src) {
+  *static_cast<double*>(dst) += *static_cast<const double*>(src);
+}
+
+class LogSink : public StencilEmitSink {
+ public:
+  explicit LogSink(CellLog& log) : log_(&log) {}
+  ReductionObject* block_object(int device, int block,
+                                bool inner_pass) override {
+    std::lock_guard<std::mutex> guard(log_->mutex);
+    CellLog::current =
+        &log_->blocks[{inner_pass ? 0 : 1, device, block}];
+    return &object_;
+  }
+
+ private:
+  CellLog* log_;
+  ReductionObject object_{ObjectLayout::kDense, 1, sizeof(double),
+                          sum_doubles};
+};
+
+/// Row-function log for the vectorized path: order within a pass is not
+/// observable without a block hook, so it is compared as a sorted set.
+struct RowLog {
+  std::mutex mutex;
+  std::vector<Cell> cells;
+};
+
+void record_row(const void* /*input*/, void* /*output*/, const int* offset,
+                const int* size, int count, const void* parameter) {
+  auto* log = static_cast<RowLog*>(const_cast<void*>(parameter));
+  Cell c = to_cell(offset, size);
+  int line = 0;
+  while (line + 1 < 3 && size[line + 1] > 0) ++line;
+  std::lock_guard<std::mutex> guard(log->mutex);
+  for (int i = 0; i < count; ++i) {
+    log->cells.push_back(c);
+    ++c[static_cast<std::size_t>(line)];
+  }
+}
+
+// Checks run on the rank threads use EXPECT: an early return from one rank
+// would leave its peers blocked in the halo exchange.
+TEST(StencilSegmentWalk, VisitsTheOracleCellsInOrder) {
+  support::Xoshiro256 rng(0x5e9);
+  for (int trial = 0; trial < 80 && !HasFailure(); ++trial) {
+    const WalkCase wc = draw_case(rng);
+    const std::string where = describe(wc);
+    std::size_t total = 1;
+    for (const auto d : wc.dims) total *= d;
+    const std::vector<double> grid(total, 1.0);
+    minimpi::World world(wc.ranks);
+    world.run([&](minimpi::Communicator& comm) {
+      EnvOptions options = cpu_options();
+      options.use_gpus = wc.gpus;
+      options.num_threads = 1 + comm.rank() % 3;
+      RuntimeEnv env(comm, options);
+      auto* st = env.get_ST();
+      st->set_stencil_func(record_stencil);
+      st->set_grid(grid.data(), sizeof(double), wc.dims);
+      st->set_halo(wc.halo);
+      st->set_topology(wc.topology);
+      st->set_periodic(wc.periodic);
+      CellLog log;
+      LogSink sink(log);
+      st->set_fused_emit(record_emit, nullptr, &sink);
+      const std::string rank = where + " rank " + std::to_string(comm.rank());
+      for (int sweep = 0; sweep < 2; ++sweep) {
+        log.blocks.clear();
+        EXPECT_TRUE(st->start().is_ok()) << rank;
+        const Oracle oracle =
+            classify(wc, st->local_extents(), st->global_offset());
+        const std::string at = rank + " sweep " + std::to_string(sweep);
+        EXPECT_EQ(st->stats().inner_cells, oracle.stats_inner) << at;
+        EXPECT_EQ(st->stats().boundary_cells, oracle.stats_boundary) << at;
+        EXPECT_TRUE(log.concat(0, false) == oracle.inner)
+            << at << ": inner-pass stencil cells";
+        EXPECT_TRUE(log.concat(0, true) == oracle.inner)
+            << at << ": inner-pass emit cells";
+        EXPECT_TRUE(log.concat(1, false) == oracle.boundary)
+            << at << ": boundary-pass stencil cells";
+        EXPECT_TRUE(log.concat(1, true) == oracle.boundary_pass)
+            << at << ": boundary-pass emit cells";
+      }
+      // The unfused reduce pass walks the same segments, emits only. Its
+      // sweep runs no block hook, so it must not record.
+      st->clear_fused_emit();
+      st->set_stencil_func(ignore_cell);
+      EXPECT_TRUE(st->start().is_ok()) << rank;
+      log.blocks.clear();
+      EXPECT_TRUE(st->reduce_pass(record_emit, nullptr, &sink).is_ok());
+      const Oracle oracle =
+          classify(wc, st->local_extents(), st->global_offset());
+      EXPECT_TRUE(log.concat(0, true) == oracle.inner)
+          << rank << ": reduce-pass inner emits";
+      EXPECT_TRUE(log.concat(1, true) == oracle.boundary_pass)
+          << rank << ": reduce-pass boundary emits";
+      EXPECT_TRUE(log.concat(0, false).empty() && log.concat(1, false).empty())
+          << rank << ": reduce pass applied the stencil";
+      env.finalize();
+    });
+  }
+}
+
+TEST(StencilSegmentWalk, RowFunctionCoversTheOracleCells) {
+  if (!support::simd::enabled()) GTEST_SKIP() << "row dispatch disabled";
+  support::Xoshiro256 rng(0x5ea);
+  for (int trial = 0; trial < 40 && !HasFailure(); ++trial) {
+    const WalkCase wc = draw_case(rng);
+    const std::string where = describe(wc);
+    std::size_t total = 1;
+    for (const auto d : wc.dims) total *= d;
+    const std::vector<double> grid(total, 1.0);
+    minimpi::World world(wc.ranks);
+    world.run([&](minimpi::Communicator& comm) {
+      EnvOptions options = cpu_options();
+      options.use_gpus = wc.gpus;
+      RuntimeEnv env(comm, options);
+      auto* st = env.get_ST();
+      RowLog log;
+      st->set_stencil_func(ignore_cell);
+      st->set_row_func(record_row);
+      st->set_parameter(&log);
+      st->set_grid(grid.data(), sizeof(double), wc.dims);
+      st->set_halo(wc.halo);
+      st->set_topology(wc.topology);
+      st->set_periodic(wc.periodic);
+      EXPECT_TRUE(st->start().is_ok()) << where;
+      Oracle oracle = classify(wc, st->local_extents(), st->global_offset());
+      std::vector<Cell> expected = oracle.inner;
+      expected.insert(expected.end(), oracle.boundary.begin(),
+                      oracle.boundary.end());
+      std::sort(expected.begin(), expected.end());
+      std::sort(log.cells.begin(), log.cells.end());
+      EXPECT_TRUE(log.cells == expected)
+          << where << " rank " << comm.rank() << ": row-function cells";
+      env.finalize();
+    });
+  }
+}
+
+// --- box copies in random geometries --------------------------------------------
+
+/// Axis cross of radius `*parameter` (the halo) in any dimensionality:
+/// the cell plus its 2*radius neighbors along every dimension, averaged.
+void cross_avg(const void* input, void* output, const int* offset,
+               const int* size, const void* parameter) {
+  const int radius = *static_cast<const int*>(parameter);
+  int ndims = 0;
+  while (ndims < 3 && size[ndims] > 0) ++ndims;
+  const auto index = [&](const Cell& c) {
+    std::size_t i = 0;
+    for (int d = 0; d < ndims; ++d) {
+      i = i * static_cast<std::size_t>(size[d]) +
+          static_cast<std::size_t>(c[static_cast<std::size_t>(d)]);
+    }
+    return i;
+  };
+  const auto* in = static_cast<const double*>(input);
+  const Cell c = to_cell(offset, size);
+  double sum = in[index(c)];
+  for (int d = 0; d < ndims; ++d) {
+    for (int k = 1; k <= radius; ++k) {
+      Cell lo = c;
+      Cell hi = c;
+      lo[static_cast<std::size_t>(d)] -= k;
+      hi[static_cast<std::size_t>(d)] += k;
+      sum += in[index(lo)];
+      sum += in[index(hi)];
+    }
+  }
+  static_cast<double*>(output)[index(c)] = sum / (1 + 2 * radius * ndims);
+}
+
+/// cross_avg on the global grid: indices wrap along periodic dimensions,
+/// cells within the halo of a fixed border keep their value.
+std::vector<double> cross_avg_reference(const WalkCase& wc,
+                                        std::vector<double> in,
+                                        int iterations) {
+  std::array<long long, 3> n = {1, 1, 1};
+  for (int d = 0; d < wc.ndims; ++d) {
+    n[static_cast<std::size_t>(d)] =
+        static_cast<long long>(wc.dims[static_cast<std::size_t>(d)]);
+  }
+  const auto index = [&](const std::array<long long, 3>& g) {
+    return static_cast<std::size_t>((g[0] * n[1] + g[1]) * n[2] + g[2]);
+  };
+  std::vector<double> out = in;
+  for (int it = 0; it < iterations; ++it) {
+    std::array<long long, 3> g{};
+    for (g[0] = 0; g[0] < n[0]; ++g[0]) {
+      for (g[1] = 0; g[1] < n[1]; ++g[1]) {
+        for (g[2] = 0; g[2] < n[2]; ++g[2]) {
+          bool fixed = false;
+          for (int d = 0; d < wc.ndims; ++d) {
+            const auto dd = static_cast<std::size_t>(d);
+            if (!wc.periodic[dd] && (g[dd] < wc.halo ||
+                                     g[dd] >= n[dd] - wc.halo)) {
+              fixed = true;
+            }
+          }
+          if (fixed) {
+            out[index(g)] = in[index(g)];
+            continue;
+          }
+          double sum = in[index(g)];
+          for (int d = 0; d < wc.ndims; ++d) {
+            const auto dd = static_cast<std::size_t>(d);
+            for (int k = 1; k <= wc.halo; ++k) {
+              auto lo = g;
+              auto hi = g;
+              lo[dd] = ((g[dd] - k) % n[dd] + n[dd]) % n[dd];
+              hi[dd] = (g[dd] + k) % n[dd];
+              sum += in[index(lo)];
+              sum += in[index(hi)];
+            }
+          }
+          out[index(g)] = sum / (1 + 2 * wc.halo * wc.ndims);
+        }
+      }
+    }
+    std::swap(in, out);
+  }
+  return in;
+}
+
+// Scatter into the padded sub-grids, halo pack/unpack, write_back and
+// gather all copy whole lines along the last dimension; periodic halos
+// split a line into wrapped runs.
+TEST(StencilBoxCopies, RandomGeometriesMatchTheGlobalReference) {
+  support::Xoshiro256 rng(0x5eb);
+  for (int trial = 0; trial < 60 && !HasFailure(); ++trial) {
+    const WalkCase wc = draw_case(rng);
+    SCOPED_TRACE(describe(wc));
+    std::size_t total = 1;
+    for (const auto d : wc.dims) total *= d;
+    const auto initial = random_grid(total, 50 + trial);
+    const auto expected = cross_avg_reference(wc, initial, 2);
+    std::vector<double> written(total, 0.0);
+    std::vector<double> gathered(total, 0.0);
+    minimpi::World world(wc.ranks);
+    world.run([&](minimpi::Communicator& comm) {
+      EnvOptions options = cpu_options();
+      options.use_gpus = wc.gpus;
+      RuntimeEnv env(comm, options);
+      auto* st = env.get_ST();
+      st->set_stencil_func(cross_avg);
+      st->set_parameter(&wc.halo);
+      st->set_grid(initial.data(), sizeof(double), wc.dims);
+      st->set_halo(wc.halo);
+      st->set_topology(wc.topology);
+      st->set_periodic(wc.periodic);
+      EXPECT_TRUE(st->run(2).is_ok());
+      st->write_back(written.data());  // disjoint boxes, one per rank
+      st->gather(gathered.data(), wc.ranks - 1);
+      env.finalize();
+    });
+    for (std::size_t i = 0; i < total; ++i) {
+      ASSERT_EQ(written[i], expected[i]) << "write_back cell " << i;
+      ASSERT_EQ(gathered[i], expected[i]) << "gather cell " << i;
+    }
+  }
+}
+
+// --- owned-box gather -----------------------------------------------------------
+
+void avg7_3d(const void* input, void* output, const int* offset,
+             const int* size, const void* /*parameter*/) {
+  const int z = offset[0];
+  const int y = offset[1];
+  const int x = offset[2];
+  get3<double>(output, size, z, y, x) =
+      (get3<double>(input, size, z, y, x) +
+       get3<double>(input, size, z - 1, y, x) +
+       get3<double>(input, size, z + 1, y, x) +
+       get3<double>(input, size, z, y - 1, x) +
+       get3<double>(input, size, z, y + 1, x) +
+       get3<double>(input, size, z, y, x - 1) +
+       get3<double>(input, size, z, y, x + 1)) /
+      7.0;
+}
+
+TEST(StencilGather, MatchesWriteBackSumReduce) {
+  constexpr double kSentinel = -12345.0;
+  const std::vector<std::vector<std::size_t>> shapes = {{37, 29},
+                                                        {11, 9, 13}};
+  for (const auto& dims : shapes) {
+    std::size_t total = 1;
+    for (const auto d : dims) total *= d;
+    const auto initial = random_grid(total, 41 + dims.size());
+    for (const int ranks : {1, 2, 4, 8}) {
+      SCOPED_TRACE("ndims " + std::to_string(dims.size()) + " ranks " +
+                   std::to_string(ranks));
+      std::vector<std::vector<double>> summed(static_cast<std::size_t>(ranks));
+      std::vector<std::vector<double>> gathered(
+          static_cast<std::size_t>(ranks));
+      minimpi::World world(ranks);
+      world.run([&](minimpi::Communicator& comm) {
+        RuntimeEnv env(comm, cpu_options());
+        auto* st = env.get_ST();
+        st->set_stencil_func(dims.size() == 2 ? avg5 : avg7_3d);
+        st->set_grid(initial.data(), sizeof(double), dims);
+        EXPECT_TRUE(st->run(2).is_ok());
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        auto& reference = summed[rank];
+        reference.assign(total, 0.0);
+        st->write_back(reference.data());
+        comm.reduce<double>(reference, 0, [](double& a, double b) { a += b; });
+        gathered[rank].assign(total, kSentinel);
+        st->gather(gathered[rank].data(), 0);
+        env.finalize();
+      });
+      for (std::size_t i = 0; i < total; ++i) {
+        ASSERT_EQ(gathered[0][i], summed[0][i]) << "cell " << i;
+      }
+      for (int rank = 1; rank < ranks; ++rank) {
+        const auto& untouched = gathered[static_cast<std::size_t>(rank)];
+        ASSERT_TRUE(std::all_of(untouched.begin(), untouched.end(),
+                                [](double v) { return v == kSentinel; }))
+            << "rank " << rank << " output was written";
+      }
+    }
+  }
+}
+
+TEST(StencilGather, NonZeroRootGetsTheWholeGrid) {
+  constexpr std::size_t kH = 21;
+  constexpr std::size_t kW = 18;
+  const auto initial = random_grid(kH * kW, 44);
+  constexpr int kRanks = 4;
+  constexpr int kRoot = 2;
+  std::vector<std::vector<double>> gathered(kRanks);
+  std::vector<double> shared(kH * kW, 0.0);
+  minimpi::World world(kRanks);
+  world.run([&](minimpi::Communicator& comm) {
+    RuntimeEnv env(comm, cpu_options());
+    auto* st = env.get_ST();
+    st->set_stencil_func(avg5);
+    st->set_grid(initial.data(), sizeof(double), {kH, kW});
+    EXPECT_TRUE(st->run(3).is_ok());
+    st->write_back(shared.data());  // disjoint boxes, one per rank
+    auto& mine = gathered[static_cast<std::size_t>(comm.rank())];
+    mine.assign(kH * kW, 0.0);
+    st->gather(mine.data(), kRoot);
+    env.finalize();
+  });
+  EXPECT_EQ(gathered[kRoot], shared);
 }
 
 }  // namespace
