@@ -1,29 +1,20 @@
-// PSF — hot-path microbenchmark: the pre-PR message transport versus the
-// pooled zero-copy path.
+// PSF — hot-path microbenchmarks: the pooled zero-copy message transport,
+// sharded mailbox matching, World ping-pong, coalesced vs uncoalesced
+// small-message storms, and the heat3d overlap pipeline.
 //
-// The "legacy" side is a faithful replica of the implementation this PR
-// replaced: every send allocated a fresh std::vector<std::byte> payload and
-// copied the staged bytes into it, and the mailbox was a single std::list
-// guarded by one mutex with notify_all wakeups and a linear scan per
-// retrieve. The "pooled" side is the shipped design: the pack writes
-// straight into a recycled PooledBuffer (the staging buffer IS the
-// message), and the sharded mailbox matches exact (source, tag) with a
-// queue-front pop. Both sides model the halo/combine pattern the runtimes
-// actually use: pack once, deposit, receive, consume the payload in place
-// (recv_any semantics).
+// The transport loop models the halo/combine pattern the runtimes use: the
+// pack writes straight into a recycled PooledBuffer (the staging buffer IS
+// the message), the sharded mailbox matches exact (source, tag) with a
+// queue-front pop, and the receiver consumes the payload in place
+// (recv_any semantics). The numbers against the replaced list-mailbox
+// transport are recorded in docs/PERFORMANCE.md ("Measuring it").
 //
-// Run: ./build/bench/perf_hotpath
-//      --benchmark_filter='Transport'   for the headline pair; the
-// acceptance bar for this PR is pooled >= 1.5x legacy on the
-// message-heavy transport loop.
+// Run: ./build/bench/perf_hotpath [--benchmark_filter=REGEX]
 #include <benchmark/benchmark.h>
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -39,72 +30,7 @@ namespace {
 /// during a halo exchange or node-data scatter.
 constexpr int kBatch = 8;
 
-// --- pre-PR implementation replica ------------------------------------------
-
-struct LegacyMessage {
-  int source = 0;
-  int tag = 0;
-  std::vector<std::byte> payload;
-};
-
-class LegacyMailbox {
- public:
-  void deposit(LegacyMessage message) {
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      queue_.push_back(std::move(message));
-    }
-    cv_.notify_all();
-  }
-
-  LegacyMessage retrieve(int source, int tag) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->source == source && it->tag == tag) {
-          LegacyMessage message = std::move(*it);
-          queue_.erase(it);
-          return message;
-        }
-      }
-      cv_.wait(lock);
-    }
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::list<LegacyMessage> queue_;
-};
-
-// --- headline pair: message transport loop ----------------------------------
-
-void BM_LegacyTransport(benchmark::State& state) {
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  const std::vector<std::byte> field(bytes, std::byte{0x5c});
-  // Persistent staging vector — generous to the legacy side (the pre-PR
-  // stencil re-allocated it every exchange).
-  std::vector<std::byte> staging(bytes);
-  LegacyMailbox mailbox;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      std::memcpy(staging.data(), field.data(), bytes);  // pack
-      LegacyMessage message;
-      message.source = 0;
-      message.tag = 7;
-      message.payload.assign(staging.begin(), staging.end());  // alloc + copy
-      mailbox.deposit(std::move(message));
-    }
-    for (int i = 0; i < kBatch; ++i) {
-      LegacyMessage message = mailbox.retrieve(0, 7);
-      sink += static_cast<std::uint64_t>(message.payload[bytes / 2]);
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kBatch * static_cast<std::int64_t>(bytes));
-}
+// --- message transport loop ------------------------------------------------
 
 void BM_PooledTransport(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
@@ -132,35 +58,14 @@ void BM_PooledTransport(benchmark::State& state) {
                           kBatch * static_cast<std::int64_t>(bytes));
 }
 
-BENCHMARK(BM_LegacyTransport)->Arg(4 << 10)->Arg(64 << 10);
 BENCHMARK(BM_PooledTransport)->Arg(4 << 10)->Arg(64 << 10);
 
 // --- matching: multi-tag backlog --------------------------------------------
 // A rank with several posted streams (halo tags per dimension, count/id/data
-// tags in IR) retrieves from a backlog of unrelated traffic. The legacy list
-// re-scans every queued message; the sharded mailbox jumps to the
-// (source, tag) queue.
+// tags in IR) retrieves from a backlog of unrelated traffic; the sharded
+// mailbox jumps to the (source, tag) queue.
 
 constexpr int kTags = 64;
-
-void BM_LegacyMatching(benchmark::State& state) {
-  LegacyMailbox mailbox;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int tag = 0; tag < kTags; ++tag) {
-      LegacyMessage message;
-      message.source = 0;
-      message.tag = tag;
-      message.payload.resize(64);
-      mailbox.deposit(std::move(message));
-    }
-    // Worst case: consume in reverse deposit order.
-    for (int tag = kTags - 1; tag >= 0; --tag) {
-      sink += static_cast<std::uint64_t>(mailbox.retrieve(0, tag).tag);
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-}
 
 void BM_ShardedMatching(benchmark::State& state) {
   psf::support::BufferPool pool;
@@ -174,6 +79,7 @@ void BM_ShardedMatching(benchmark::State& state) {
       message.payload = pool.acquire(64);
       mailbox.deposit(std::move(message));
     }
+    // Worst case: consume in reverse deposit order.
     for (int tag = kTags - 1; tag >= 0; --tag) {
       sink += static_cast<std::uint64_t>(mailbox.retrieve(0, tag).tag);
     }
@@ -181,13 +87,11 @@ void BM_ShardedMatching(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 
-BENCHMARK(BM_LegacyMatching);
 BENCHMARK(BM_ShardedMatching);
 
 // --- end-to-end: World ping-pong (informational) ----------------------------
 // The full Communicator path — virtual-time pricing, metrics, thread join —
-// on the shipped implementation. No legacy twin exists at this level (the
-// old transport is gone); the transport pair above carries the comparison.
+// on the shipped implementation.
 
 void BM_WorldPingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

@@ -10,8 +10,12 @@
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/typed.h"
 
 namespace {
+
+using psf::pattern::GridView;
+using psf::pattern::MutableGridView;
 
 struct Flow {
   double courant_y = 0.4;  ///< v * dt / dy
@@ -19,17 +23,17 @@ struct Flow {
 };
 
 // First-order upwind for positive (down-right) velocity.
-DEVICE void upwind_fp(const void* input, void* output, const int* offset,
-                      const int* size, const void* parameter) {
-  const auto* flow = static_cast<const Flow*>(parameter);
-  const int y = offset[0];
-  const int x = offset[1];
-  const double center = GET_DOUBLE2(input, size, y, x);
-  GET_DOUBLE2(output, size, y, x) =
-      center -
-      flow->courant_y * (center - GET_DOUBLE2(input, size, y - 1, x)) -
-      flow->courant_x * (center - GET_DOUBLE2(input, size, y, x - 1));
-}
+struct Upwind {
+  void operator()(const GridView<double, 2>& in,
+                  const MutableGridView<double, 2>& out, const int* c,
+                  const Flow* flow) const {
+    const int y = c[0];
+    const int x = c[1];
+    const double center = in(y, x);
+    out(y, x) = center - flow->courant_y * (center - in(y - 1, x)) -
+                flow->courant_x * (center - in(y, x - 1));
+  }
+};
 
 /// Center of mass of the field (for watching the pulse travel).
 std::pair<double, double> center_of_mass(const std::vector<double>& field,
@@ -78,14 +82,14 @@ int main(int argc, char** argv) {
     options.use_cpu = true;
     options.use_gpus = 2;
     psf::pattern::RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
+    psf::pattern::TypedStencil<double, 2> st(env);
     Flow flow;
-    st->set_stencil_func(upwind_fp);
-    st->set_grid(field.data(), sizeof(double), {n, n});
-    st->set_periodic({true, true});
-    st->set_parameter(&flow);
-    PSF_CHECK(st->run(steps).is_ok());
-    st->write_back(result.data());
+    st.set_stencil<Flow>(Upwind{});
+    st.set_grid(field, {n, n});
+    st.set_periodic({true, true});
+    st.set_parameter(&flow);
+    PSF_CHECK(st.run(steps).is_ok());
+    st.write_back(result);
     if (comm.rank() == 0) {
       std::printf("  simulated exec time: %.3f ms\n",
                   comm.timeline().now() * 1e3);

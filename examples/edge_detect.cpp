@@ -1,9 +1,9 @@
 // PSF example — Sobel edge detection (9-point stencil) on a simulated
 // CPU-GPU cluster; writes the input and detected-edge images as PGM files.
 // Written against the typed stencil API: the kernel reads pixels through
-// GridView as in(y, x) instead of the legacy GET_FLOAT2 macros, EnvOptions
-// uses the fluent setters, and the ranks run under World::try_run so a
-// failure surfaces as a support::Status instead of an exception.
+// GridView as in(y, x), EnvOptions uses the fluent setters, and the ranks
+// run under World::try_run so a failure surfaces as a support::Status
+// instead of an exception.
 //
 //   $ ./edge_detect [nodes] [size] [out.pgm]
 #include <cmath>

@@ -1,7 +1,7 @@
 // PSF example — 3-D heat diffusion (7-point stencil) on a simulated
 // CPU-GPU cluster, written against the typed stencil API: the kernel reads
-// the grid through GridView as in(z, y, x) instead of the legacy
-// GET_DOUBLE3 macros, and EnvOptions is assembled with the fluent setters.
+// the grid through GridView as in(z, y, x), and EnvOptions is assembled
+// with the fluent setters.
 //
 //   $ ./heat_diffusion [nodes] [grid-edge] [steps] [trace.json]
 //

@@ -7,7 +7,6 @@
 #include "pattern/api.h"
 #include "pattern/compose.h"
 #include "support/rng.h"
-#include "support/simd.h"
 
 namespace psf::apps::heat3d {
 
@@ -15,55 +14,20 @@ namespace {
 
 // [psf-user-code-begin]
 /// 7-point explicit diffusion update for one cell (paper's Heat3D kernel).
-DEVICE void heat_fp(const void* input, void* output, const int* offset,
-                    const int* size, const void* parameter) {
-  const double alpha = *static_cast<const double*>(parameter);
-  const int z = offset[0];
-  const int y = offset[1];
-  const int x = offset[2];
-  const double center = GET_DOUBLE3(input, size, z, y, x);
-  const double neighbors = GET_DOUBLE3(input, size, z - 1, y, x) +
-                           GET_DOUBLE3(input, size, z + 1, y, x) +
-                           GET_DOUBLE3(input, size, z, y - 1, x) +
-                           GET_DOUBLE3(input, size, z, y + 1, x) +
-                           GET_DOUBLE3(input, size, z, y, x - 1) +
-                           GET_DOUBLE3(input, size, z, y, x + 1);
-  GET_DOUBLE3(output, size, z, y, x) =
-      center + alpha * (neighbors - 6.0 * center);
-// [psf-user-code-end]
-}
-
-// [psf-user-code-begin]
-/// Row variant of heat_fp: `count` cells along x from `offset`. Each lane
-/// repeats the scalar sum term-for-term (z-1, z+1, y-1, y+1, x-1, x+1), so
-/// the bytes match heat_fp exactly whether or not the loop vectorizes.
-DEVICE void heat_row_fp(const void* input, void* output, const int* offset,
-                        const int* size, int count, const void* parameter) {
-  const double alpha = *static_cast<const double*>(parameter);
-  const int z = offset[0];
-  const int y = offset[1];
-  const int x0 = offset[2];
-  const auto* in = static_cast<const double*>(input);
-  auto* out = static_cast<double*>(output);
-  const auto sy = static_cast<std::size_t>(size[2]);
-  const std::size_t sz = static_cast<std::size_t>(size[1]) * sy;
-  const std::size_t base = static_cast<std::size_t>(z) * sz +
-                           static_cast<std::size_t>(y) * sy +
-                           static_cast<std::size_t>(x0);
-  const double* c0 = in + base;
-  const double* zm = c0 - sz;
-  const double* zp = c0 + sz;
-  const double* ym = c0 - sy;
-  const double* yp = c0 + sy;
-  double* dst = out + base;
-  PSF_SIMD_LOOP
-  for (int i = 0; i < count; ++i) {
-    const double center = c0[i];
-    const double neighbors =
-        zm[i] + zp[i] + ym[i] + yp[i] + c0[i - 1] + c0[i + 1];
-    dst[i] = center + alpha * (neighbors - 6.0 * center);
+struct HeatStep {
+  void operator()(const pattern::GridView<double, 3>& in,
+                  const pattern::MutableGridView<double, 3>& out, const int* c,
+                  const double* alpha) const {
+    const int z = c[0];
+    const int y = c[1];
+    const int x = c[2];
+    const double center = in(z, y, x);
+    const double neighbors = in(z - 1, y, x) + in(z + 1, y, x) +
+                             in(z, y - 1, x) + in(z, y + 1, x) +
+                             in(z, y, x - 1) + in(z, y, x + 1);
+    out(z, y, x) = center + *alpha * (neighbors - 6.0 * center);
   }
-}
+};
 // [psf-user-code-end]
 
 double checksum_of(std::span<const double> field) {
@@ -119,24 +83,22 @@ Result run_framework(minimpi::Communicator& comm,
                      std::span<const double> field) {
   pattern::RuntimeEnv env(comm, options);
   PSF_CHECK(env.init().is_ok());
-  auto* st = env.get_ST();
+  pattern::TypedStencil<double, 3> st(env);
 
   const double alpha = params.alpha;
-  st->set_stencil_func(heat_fp);
-  st->set_row_func(heat_row_fp);
-  st->set_grid(field.data(), sizeof(double),
-               {params.nx, params.ny, params.nz});
-  st->set_halo(1);
-  st->set_parameter(&alpha);
+  st.set_stencil<double>(HeatStep{});
+  st.set_grid(field, {params.nx, params.ny, params.nz});
+  st.set_halo(1);
+  st.set_parameter(&alpha);
 
   const double t0 = comm.timeline().now();
-  PSF_CHECK(st->run(params.iterations).is_ok());
+  PSF_CHECK(st.run(params.iterations).is_ok());
   Result result;
   result.vtime = comm.timeline().now() - t0;
-  result.steady_vtime = st->stats().last_iteration_vtime;
+  result.steady_vtime = st.raw().stats().last_iteration_vtime;
 
   result.field.resize(field.size());
-  st->gather(result.field.data(), 0);
+  st.gather(result.field, 0);
   comm.bcast(std::as_writable_bytes(std::span<double>(result.field)), 0);
   result.checksum = checksum_of(result.field);
   env.finalize();
@@ -159,18 +121,7 @@ MonitoredResult run_framework_monitored(minimpi::Communicator& comm,
   // emit ((new - old)^2 at key 0), combined across ranks every iteration.
   pattern::TypedStencilReduce<double, 3, double> sr(env);
   const double alpha = params.alpha;
-  sr.set_stencil<double>([](const pattern::GridView<double, 3>& in,
-                            const pattern::MutableGridView<double, 3>& out,
-                            const int* c, const double* diffusion) {
-    const int z = c[0];
-    const int y = c[1];
-    const int x = c[2];
-    const double center = in(z, y, x);
-    const double neighbors = in(z - 1, y, x) + in(z + 1, y, x) +
-                             in(z, y - 1, x) + in(z, y + 1, x) +
-                             in(z, y, x - 1) + in(z, y, x + 1);
-    out(z, y, x) = center + *diffusion * (neighbors - 6.0 * center);
-  });
+  sr.set_stencil<double>(HeatStep{});
   sr.set_emit([](pattern::TypedObject<double>& obj,
                  const pattern::GridView<double, 3>& before,
                  const pattern::GridView<double, 3>& after, const int* c,

@@ -4,8 +4,8 @@
 #include <functional>
 
 #include "pattern/api.h"
+#include "pattern/typed.h"
 #include "support/rng.h"
-#include "support/simd.h"
 
 namespace psf::apps::sobel {
 
@@ -14,54 +14,22 @@ namespace {
 // [psf-user-code-begin]
 /// The two 3x3 Sobel masks convolved at one pixel; output is the clamped
 /// gradient magnitude (the paper's 9-point stencil function).
-DEVICE void sobel_fp(const void* input, void* output, const int* offset,
-                     const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  const float gx = GET_FLOAT2(input, size, y - 1, x + 1) +
-                   2.0f * GET_FLOAT2(input, size, y, x + 1) +
-                   GET_FLOAT2(input, size, y + 1, x + 1) -
-                   GET_FLOAT2(input, size, y - 1, x - 1) -
-                   2.0f * GET_FLOAT2(input, size, y, x - 1) -
-                   GET_FLOAT2(input, size, y + 1, x - 1);
-  const float gy = GET_FLOAT2(input, size, y + 1, x - 1) +
-                   2.0f * GET_FLOAT2(input, size, y + 1, x) +
-                   GET_FLOAT2(input, size, y + 1, x + 1) -
-                   GET_FLOAT2(input, size, y - 1, x - 1) -
-                   2.0f * GET_FLOAT2(input, size, y - 1, x) -
-                   GET_FLOAT2(input, size, y - 1, x + 1);
-  const float magnitude = std::sqrt(gx * gx + gy * gy);
-  GET_FLOAT2(output, size, y, x) = magnitude > 255.0f ? 255.0f : magnitude;
-// [psf-user-code-end]
-}
-
-// [psf-user-code-begin]
-/// Row variant of sobel_fp: `count` pixels along x from `offset`. Each
-/// lane repeats the scalar expression term-for-term (no reassociation), so
-/// the bytes match sobel_fp exactly whether or not the loop vectorizes.
-DEVICE void sobel_row_fp(const void* input, void* output, const int* offset,
-                         const int* size, int count,
-                         const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x0 = offset[1];
-  const auto* in = static_cast<const float*>(input);
-  auto* out = static_cast<float*>(output);
-  const auto stride = static_cast<std::size_t>(size[1]);
-  const float* rm = in + static_cast<std::size_t>(y - 1) * stride;
-  const float* r0 = in + static_cast<std::size_t>(y) * stride;
-  const float* rp = in + static_cast<std::size_t>(y + 1) * stride;
-  float* dst = out + static_cast<std::size_t>(y) * stride;
-  PSF_SIMD_LOOP
-  for (int i = 0; i < count; ++i) {
-    const int x = x0 + i;
-    const float gx = rm[x + 1] + 2.0f * r0[x + 1] + rp[x + 1] - rm[x - 1] -
-                     2.0f * r0[x - 1] - rp[x - 1];
-    const float gy = rp[x - 1] + 2.0f * rp[x] + rp[x + 1] - rm[x - 1] -
-                     2.0f * rm[x] - rm[x + 1];
+struct SobelStep {
+  void operator()(const pattern::GridView<float, 2>& in,
+                  const pattern::MutableGridView<float, 2>& out, const int* c,
+                  const void* /*parameter*/) const {
+    const int y = c[0];
+    const int x = c[1];
+    const float gx = in(y - 1, x + 1) + 2.0f * in(y, x + 1) +
+                     in(y + 1, x + 1) - in(y - 1, x - 1) -
+                     2.0f * in(y, x - 1) - in(y + 1, x - 1);
+    const float gy = in(y + 1, x - 1) + 2.0f * in(y + 1, x) +
+                     in(y + 1, x + 1) - in(y - 1, x - 1) -
+                     2.0f * in(y - 1, x) - in(y - 1, x + 1);
     const float magnitude = std::sqrt(gx * gx + gy * gy);
-    dst[x] = magnitude > 255.0f ? 255.0f : magnitude;
+    out(y, x) = magnitude > 255.0f ? 255.0f : magnitude;
   }
-}
+};
 // [psf-user-code-end]
 
 /// Same operator on a plain global grid (reference kernel).
@@ -117,23 +85,22 @@ Result run_framework(minimpi::Communicator& comm,
                      std::span<const float> image) {
   pattern::RuntimeEnv env(comm, options);
   PSF_CHECK(env.init().is_ok());
-  auto* st = env.get_ST();
+  pattern::TypedStencil<float, 2> st(env);
 
-  st->set_stencil_func(sobel_fp);
-  st->set_row_func(sobel_row_fp);
-  st->set_grid(image.data(), sizeof(float), {params.height, params.width});
-  st->set_halo(1);
+  st.set_stencil(SobelStep{});
+  st.set_grid(image, {params.height, params.width});
+  st.set_halo(1);
 
   const double t0 = comm.timeline().now();
-  PSF_CHECK(st->run(params.iterations).is_ok());
+  PSF_CHECK(st.run(params.iterations).is_ok());
   Result result;
   result.vtime = comm.timeline().now() - t0;
-  result.steady_vtime = st->stats().last_iteration_vtime;
+  result.steady_vtime = st.raw().stats().last_iteration_vtime;
 
   // Assemble the distributed result parts (excluded from the timing, like
   // the paper's write-back to disk).
   result.image.resize(image.size());
-  st->gather(result.image.data(), 0);
+  st.gather(result.image, 0);
   comm.bcast(std::as_writable_bytes(std::span<float>(result.image)), 0);
   result.checksum = checksum_of(result.image);
   env.finalize();

@@ -1,7 +1,6 @@
 // PSF — Pattern Specification Framework
-// Umbrella public API header, including the paper's user-facing helpers:
-// the DEVICE function qualifier macro and the grid GET accessors for
-// stencil functions (paper Section II-A).
+// Umbrella public API header, including the paper's DEVICE function
+// qualifier macro (paper Section II-A).
 //
 // A typical application includes only this header:
 //
@@ -19,12 +18,14 @@
 //     ...
 //   });
 //
-// NOTE: the raw function-pointer setters (set_emit_func & friends) are kept
-// for paper parity but deprecated for new code. Prefer the typed facades in
+// NOTE: the raw reduction setters (set_emit_func & friends) are kept for
+// paper parity but deprecated for new code. Prefer the typed facades in
 // pattern/typed.h (TypedGReduce, TypedIReduce, TypedStencil) and the
 // composition layer in pattern/compose.h (TypedStencilReduce,
 // PatternGraph), which add compile-time typing, fused stencil+reduce steps
-// and multi-stage pipelines over the same runtimes.
+// and multi-stage pipelines over the same runtimes. Stencils are written
+// only through TypedStencil: its per-cell callable is lowered to the
+// runtime's row kernel (StencilRuntime::set_kernel).
 #pragma once
 
 #include "pattern/greduction.h"
@@ -38,68 +39,3 @@
 /// (__host__ __device__ under nvcc); in the simulator both "sides" share the
 /// host ISA, so it expands to nothing.
 #define DEVICE
-
-namespace psf::pattern {
-
-/// Reference to element (x0) of a 1-D grid of T. `size` is the padded
-/// extents array the runtime passes to the stencil function.
-template <typename T>
-[[nodiscard]] inline const T& get1(const void* buffer, const int* /*size*/,
-                                   int x0) noexcept {
-  return static_cast<const T*>(buffer)[x0];
-}
-template <typename T>
-[[nodiscard]] inline T& get1(void* buffer, const int* /*size*/,
-                             int x0) noexcept {
-  return static_cast<T*>(buffer)[x0];
-}
-
-/// Reference to element (x0, x1) of a 2-D grid (outermost dimension first).
-template <typename T>
-[[nodiscard]] inline const T& get2(const void* buffer, const int* size,
-                                   int x0, int x1) noexcept {
-  return static_cast<const T*>(
-      buffer)[static_cast<std::size_t>(x0) * size[1] + x1];
-}
-template <typename T>
-[[nodiscard]] inline T& get2(void* buffer, const int* size, int x0,
-                             int x1) noexcept {
-  return static_cast<T*>(buffer)[static_cast<std::size_t>(x0) * size[1] + x1];
-}
-
-/// Reference to element (x0, x1, x2) of a 3-D grid.
-template <typename T>
-[[nodiscard]] inline const T& get3(const void* buffer, const int* size,
-                                   int x0, int x1, int x2) noexcept {
-  return static_cast<const T*>(
-      buffer)[(static_cast<std::size_t>(x0) * size[1] + x1) * size[2] + x2];
-}
-template <typename T>
-[[nodiscard]] inline T& get3(void* buffer, const int* size, int x0, int x1,
-                             int x2) noexcept {
-  return static_cast<T*>(
-      buffer)[(static_cast<std::size_t>(x0) * size[1] + x1) * size[2] + x2];
-}
-
-}  // namespace psf::pattern
-
-/// Paper-style macro spellings of the get helpers (GET_FLOAT2(buf, size,
-/// y, x) etc.).
-///
-/// DEPRECATED FOR NEW CODE: these macros are kept only for paper-API parity
-/// and existing call sites. New stencil code should use TypedStencil<T, N>
-/// (pattern/typed.h), whose GridView accessors index grids as `in(y, x)`
-/// with the element type checked at compile time — see
-/// examples/heat_diffusion.cpp and examples/edge_detect.cpp.
-#define GET_FLOAT2(buf, size, x0, x1) \
-  (::psf::pattern::get2<float>((buf), (size), (x0), (x1)))
-#define GET_FLOAT3(buf, size, x0, x1, x2) \
-  (::psf::pattern::get3<float>((buf), (size), (x0), (x1), (x2)))
-#define GET_DOUBLE2(buf, size, x0, x1) \
-  (::psf::pattern::get2<double>((buf), (size), (x0), (x1)))
-#define GET_DOUBLE3(buf, size, x0, x1, x2) \
-  (::psf::pattern::get3<double>((buf), (size), (x0), (x1), (x2)))
-#define GET_INT2(buf, size, x0, x1) \
-  (::psf::pattern::get2<int>((buf), (size), (x0), (x1)))
-#define GET_INT3(buf, size, x0, x1, x2) \
-  (::psf::pattern::get3<int>((buf), (size), (x0), (x1), (x2)))

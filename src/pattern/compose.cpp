@@ -76,12 +76,8 @@ StencilReduce::StencilReduce(RuntimeEnv& env)
 
 StencilReduce::~StencilReduce() = default;
 
-void StencilReduce::set_stencil_func(StencilFn fn) {
-  // The composition layer is a sanctioned caller of the raw setter — the
-  // typed facade lowers through here.
-  PSF_SUPPRESS_DEPRECATED_BEGIN
-  st_->set_stencil_func(fn);
-  PSF_SUPPRESS_DEPRECATED_END
+void StencilReduce::set_kernel(StencilRowFn kernel) {
+  st_->set_kernel(kernel);
 }
 
 void StencilReduce::set_grid(const void* global_grid, std::size_t elem_bytes,

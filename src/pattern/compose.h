@@ -91,7 +91,7 @@ class StencilReduce {
 
   // --- stencil side (forwards to the borrowed StencilRuntime) ---------------
 
-  void set_stencil_func(StencilFn fn);
+  void set_kernel(StencilRowFn kernel);
   void set_grid(const void* global_grid, std::size_t elem_bytes,
                 const std::vector<std::size_t>& dims);
   void set_halo(int halo);
@@ -320,13 +320,7 @@ class TypedStencilReduce {
   void set_stencil(Fn) {
     static_assert(std::is_empty_v<Fn>,
                   "stencil callables must be captureless; use set_parameter");
-    sr_->set_stencil_func([](const void* input, void* output,
-                             const int* offset, const int* size,
-                             const void* parameter) {
-      GridView<T, N> in(input, size);
-      MutableGridView<T, N> out(output, size);
-      Fn{}(in, out, offset, static_cast<const Parameter*>(parameter));
-    });
+    sr_->set_kernel(&stencil_rows<T, N, Parameter, Fn>);
   }
 
   /// Captureless per-cell emit: (object, old grid, new grid, offset[N],

@@ -15,7 +15,6 @@
 #include "pattern/runtime_env.h"
 #include "support/log.h"
 #include "support/metrics.h"
-#include "support/simd.h"
 #include "telemetry/prof.h"
 #include "timemodel/timeline.h"
 
@@ -98,9 +97,9 @@ void StencilRuntime::set_grid(const void* global_grid, std::size_t elem_bytes,
 }
 
 support::Status StencilRuntime::validate() const {
-  if (stencil_ == nullptr) {
+  if (kernel_ == nullptr) {
     return support::Status::failed_precondition(
-        "stencil: stencil function not set");
+        "stencil: stencil kernel not set");
   }
   if (global_grid_ == nullptr || elem_bytes_ == 0) {
     return support::Status::failed_precondition("stencil: grid not set");
@@ -465,11 +464,6 @@ void StencilRuntime::walk_rows(int device_index, std::size_t row_begin,
   const std::byte* in = old_grid;
   std::byte* out = new_grid;
 
-  // Row-vectorized dispatch (support/simd.h): one row_fn_ call per segment.
-  // Only for pure sweep passes — the fused emit hook reads each output cell
-  // right after the scalar call writes it, so emitting passes go per cell.
-  const bool use_rows = apply_stencil && emit == nullptr &&
-                        row_fn_ != nullptr && support::simd::enabled();
   // Lines run along the last user dimension, contiguous in padded memory
   // (the internal dimensions after it have the single coordinate 0).
   const std::size_t line_dim = static_cast<std::size_t>(ndims_ - 1);
@@ -517,25 +511,20 @@ void StencilRuntime::walk_rows(int device_index, std::size_t row_begin,
     const auto visit = [&](int cls, int begin, int end) {
       if ((cls == kInner) != want_inner) return;
       pos = begin;
-      if (apply_stencil && cls == kFixed) {
-        // Fixed global border: copied through on the boundary pass.
-        const std::size_t base = padded_index(c) * elem_bytes_;
-        std::memcpy(out + base, in + base,
-                    static_cast<std::size_t>(end - begin) * elem_bytes_);
-      } else if (use_rows) {
-        row_fn_(in, out, c.data(), size_user, end - begin, parameter_);
-        return;
+      if (apply_stencil) {
+        if (cls == kFixed) {
+          // Fixed global border: copied through on the boundary pass.
+          const std::size_t base = padded_index(c) * elem_bytes_;
+          std::memcpy(out + base, in + base,
+                      static_cast<std::size_t>(end - begin) * elem_bytes_);
+        } else {
+          kernel_(in, out, c.data(), size_user, end - begin, parameter_);
+        }
       }
-      const bool per_cell_stencil = apply_stencil && cls != kFixed;
-      if (!per_cell_stencil && staged == nullptr) return;
+      if (staged == nullptr) return;
+      // Each emit reads only its own cell, which the kernel has written.
       for (pos = begin; pos < end; ++pos) {
-        if (per_cell_stencil) {
-          stencil_(in, out, c.data(), size_user, parameter_);
-        }
-        if (staged != nullptr) {
-          emit(staged, old_grid, new_grid, c.data(), size_user,
-               emit_parameter);
-        }
+        emit(staged, old_grid, new_grid, c.data(), size_user, emit_parameter);
       }
     };
 

@@ -21,7 +21,6 @@
 #include "minimpi/cart.h"
 #include "pattern/scheduler.h"
 #include "support/buffer.h"
-#include "support/compat.h"
 #include "support/error.h"
 
 namespace psf::devsim {
@@ -33,25 +32,20 @@ namespace psf::pattern {
 class RuntimeEnv;
 class ReductionObject;
 
-/// User-defined stencil function (Table I): computes ONE output element.
-/// `offset` is the element's coordinate in the local padded grid (outermost
-/// dimension first), `size` the padded extents; index `input`/`output` with
-/// the get helpers in pattern/api.h.
-using StencilFn = void (*)(const void* input, void* output, const int* offset,
-                           const int* size, const void* parameter);
-
-/// Optional row-vectorized companion to StencilFn (SIMD host-kernel
-/// dispatch, support/simd.h): computes `count` output elements starting at
+/// The stencil kernel, the runtime's single lowering target for the user's
+/// element function (Table I): computes `count` output cells starting at
 /// `offset`, consecutive along the innermost user dimension and contiguous
-/// in padded-grid memory. Must write bytes identical to `count` scalar
-/// StencilFn calls — the runtime may pick either at any time, and tests
-/// byte-compare the two paths (docs/PERFORMANCE.md).
+/// in padded-grid memory. `offset` is the first cell's coordinate in the
+/// local padded grid (outermost dimension first), `size` the padded
+/// extents. Each cell must be a pure function of `input`. The typed facades
+/// (TypedStencil, TypedStencilReduce) instantiate it from a per-cell
+/// callable with stencil_rows (pattern/typed.h).
 using StencilRowFn = void (*)(const void* input, void* output,
                               const int* offset, const int* size, int count,
                               const void* parameter);
 
 /// Per-cell emit hook for the fused stencil_reduce composition
-/// (pattern/compose.h): called right after a sweep pass computes the cell at
+/// (pattern/compose.h): called after a sweep pass computes the cell at
 /// `offset`. `old_grid` is the sweep's input buffer and `new_grid` its
 /// output; read only the cell at `offset` in either grid (neighbor cells of
 /// `new_grid` may not have been written yet).
@@ -83,17 +77,9 @@ class StencilRuntime {
 
   // --- configuration --------------------------------------------------------
 
-  PSF_DEPRECATED(
-      "raw stencil registration is deprecated; use "
-      "psf::pattern::TypedStencil (pattern/typed.h) or the composition "
-      "facades in pattern/compose.h")
-  void set_stencil_func(StencilFn fn) { stencil_ = fn; }
-
-  /// Register a row-vectorized variant of the stencil function. Dispatch is
-  /// gated on support::simd::enabled() (build option PSF_SIMD + env var
-  /// PSF_SIMD); without it — or on passes that stage per-cell emits — the
-  /// runtime falls back to the scalar per-cell function.
-  void set_row_func(StencilRowFn fn) { row_fn_ = fn; }
+  /// Register the stencil kernel. Prefer TypedStencil (pattern/typed.h),
+  /// which generates it from a per-cell callable.
+  void set_kernel(StencilRowFn kernel) { kernel_ = kernel; }
 
   /// Global grid: `ndims` extents (outermost first), elements of
   /// `elem_bytes`. The runtime scatters sub-grids from this array; elements
@@ -251,7 +237,8 @@ class StencilRuntime {
   /// rows, one cell class, optionally applying the stencil and/or emitting
   /// into `sink`. `old_grid`/`new_grid` are the sweep's input/output. Walks
   /// each line along the last user dimension as the segments segment_cuts_
-  /// delimits, in row-major order.
+  /// delimits, in row-major order: one kernel call (or, for fixed border
+  /// cells, one copy) per segment, then the segment's per-cell emits.
   void walk_rows(int device_index, std::size_t row_begin, std::size_t row_end,
                  bool want_inner, bool apply_stencil, CellEmitFn emit,
                  const void* emit_parameter, StencilEmitSink* sink,
@@ -264,8 +251,7 @@ class StencilRuntime {
   void drop_lost_devices();
 
   RuntimeEnv* env_;
-  StencilFn stencil_ = nullptr;
-  StencilRowFn row_fn_ = nullptr;
+  StencilRowFn kernel_ = nullptr;
   const std::byte* global_grid_ = nullptr;
   std::size_t elem_bytes_ = 0;
   std::vector<std::size_t> global_dims_;

@@ -236,36 +236,81 @@ class TypedIR {
   IReductionRuntime* runtime_;
 };
 
-/// Typed grid view for stencil functions: wraps the raw buffer + padded
-/// extents the runtime passes, with bounds-checked accessors in debug.
-template <typename T, int N>
-class GridView {
- public:
-  GridView(const void* buffer, const int* size)
-      : data_(static_cast<const T*>(buffer)), size_(size) {}
+namespace detail {
 
-  [[nodiscard]] const T& operator()(int x0) const
+/// Row-major addressing of an N-dimensional padded grid, shared by the two
+/// views. The strides are cached as std::ptrdiff_t at construction, so an
+/// access is one multiply-add per outer dimension and a generated row loop
+/// (stencil_rows) keeps them in registers instead of re-deriving them from
+/// `size`.
+template <int N>
+class GridIndex {
+ public:
+  explicit GridIndex(const int* size) : size_(size) {
+    if constexpr (N == 2) {
+      stride0_ = size[1];
+    } else if constexpr (N == 3) {
+      stride1_ = size[2];
+      stride0_ = static_cast<std::ptrdiff_t>(size[1]) * stride1_;
+    }
+  }
+
+  [[nodiscard]] std::ptrdiff_t at(int x0) const
     requires(N == 1)
   {
-    return data_[x0];
+    return x0;
   }
-  [[nodiscard]] const T& operator()(int x0, int x1) const
+  [[nodiscard]] std::ptrdiff_t at(int x0, int x1) const
     requires(N == 2)
   {
-    return data_[static_cast<std::size_t>(x0) * size_[1] + x1];
+    return x0 * stride0_ + x1;
   }
-  [[nodiscard]] const T& operator()(int x0, int x1, int x2) const
+  [[nodiscard]] std::ptrdiff_t at(int x0, int x1, int x2) const
     requires(N == 3)
   {
-    return data_[(static_cast<std::size_t>(x0) * size_[1] + x1) * size_[2] +
-                 x2];
+    return x0 * stride0_ + x1 * stride1_ + x2;
   }
 
   [[nodiscard]] int extent(int dim) const { return size_[dim]; }
 
  private:
-  const T* data_;
   const int* size_;
+  std::ptrdiff_t stride0_ = 0;
+  std::ptrdiff_t stride1_ = 0;
+};
+
+}  // namespace detail
+
+/// Typed read-only view of a padded stencil grid: wraps the raw buffer and
+/// padded extents the runtime passes; `in(y, x)` is element (y, x). Accesses
+/// are unchecked, like the raw buffer they wrap.
+template <typename T, int N>
+class GridView {
+ public:
+  GridView(const void* buffer, const int* size)
+      : data_(static_cast<const T*>(buffer)), index_(size) {}
+
+  [[nodiscard]] const T& operator()(int x0) const
+    requires(N == 1)
+  {
+    return data_[index_.at(x0)];
+  }
+  [[nodiscard]] const T& operator()(int x0, int x1) const
+    requires(N == 2)
+  {
+    return data_[index_.at(x0, x1)];
+  }
+  [[nodiscard]] const T& operator()(int x0, int x1, int x2) const
+    requires(N == 3)
+  {
+    return data_[index_.at(x0, x1, x2)];
+  }
+
+  [[nodiscard]] int extent(int dim) const { return index_.extent(dim); }
+
+ private:
+  const T* data_;
+  detail::GridIndex<N> index_;
 };
 
 /// Mutable counterpart of GridView.
@@ -273,29 +318,47 @@ template <typename T, int N>
 class MutableGridView {
  public:
   MutableGridView(void* buffer, const int* size)
-      : data_(static_cast<T*>(buffer)), size_(size) {}
+      : data_(static_cast<T*>(buffer)), index_(size) {}
 
   [[nodiscard]] T& operator()(int x0) const
     requires(N == 1)
   {
-    return data_[x0];
+    return data_[index_.at(x0)];
   }
   [[nodiscard]] T& operator()(int x0, int x1) const
     requires(N == 2)
   {
-    return data_[static_cast<std::size_t>(x0) * size_[1] + x1];
+    return data_[index_.at(x0, x1)];
   }
   [[nodiscard]] T& operator()(int x0, int x1, int x2) const
     requires(N == 3)
   {
-    return data_[(static_cast<std::size_t>(x0) * size_[1] + x1) * size_[2] +
-                 x2];
+    return data_[index_.at(x0, x1, x2)];
   }
+
+  [[nodiscard]] int extent(int dim) const { return index_.extent(dim); }
 
  private:
   T* data_;
-  const int* size_;
+  detail::GridIndex<N> index_;
 };
+
+/// Lowers a captureless per-cell stencil callable
+/// `Fn{}(in, out, c, parameter)` to the runtime's row kernel (StencilRowFn):
+/// the two views are built once per call and `c[N-1]` walks the `count`
+/// cells of the segment. Instantiated per callable, so the element function
+/// inlines into the loop.
+template <typename T, int N, typename Parameter, typename Fn>
+void stencil_rows(const void* input, void* output, const int* offset,
+                  const int* size, int count, const void* parameter) {
+  const GridView<T, N> in(input, size);
+  const MutableGridView<T, N> out(output, size);
+  const auto* typed = static_cast<const Parameter*>(parameter);
+  int c[N];
+  for (int d = 0; d < N; ++d) c[d] = offset[d];
+  const int end = c[N - 1] + count;
+  for (; c[N - 1] < end; ++c[N - 1]) Fn{}(in, out, c, typed);
+}
 
 /// Typed stencil runtime for element type T and dimensionality N.
 template <typename T, int N>
@@ -309,15 +372,7 @@ class TypedST {
   void set_stencil(Fn) {
     static_assert(std::is_empty_v<Fn>,
                   "stencil callables must be captureless; use set_parameter");
-    PSF_SUPPRESS_DEPRECATED_BEGIN
-    runtime_->set_stencil_func([](const void* input, void* output,
-                                  const int* offset, const int* size,
-                                  const void* parameter) {
-      GridView<T, N> in(input, size);
-      MutableGridView<T, N> out(output, size);
-      Fn{}(in, out, offset, static_cast<const Parameter*>(parameter));
-    });
-    PSF_SUPPRESS_DEPRECATED_END
+    runtime_->set_kernel(&stencil_rows<T, N, Parameter, Fn>);
   }
 
   void set_grid(std::span<const T> grid,
@@ -363,8 +418,7 @@ class TypedST {
 };
 
 /// Preferred name for the typed stencil runtime: grids are indexed through
-/// GridView as `in(y, x)` instead of the deprecated-for-new-code GET_*
-/// macros in pattern/api.h.
+/// GridView as `in(y, x)`.
 template <typename T, int Dims>
 using TypedStencil = TypedST<T, Dims>;
 

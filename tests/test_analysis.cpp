@@ -17,6 +17,7 @@
 #include "apps/heat3d.h"
 #include "devsim/device.h"
 #include "pattern/api.h"
+#include "pattern/typed.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "timemodel/trace.h"
@@ -273,15 +274,14 @@ TEST(Analysis, PatternRunsProduceDependencyEdges) {
       options.use_cpu = true;
       options.trace = &trace;
       pattern::RuntimeEnv env(comm, options);
-      auto* st = env.get_ST();
-      st->set_stencil_func([](const void* input, void* output,
-                              const int* offset, const int* size,
-                              const void*) {
-        pattern::get2<double>(output, size, offset[0], offset[1]) =
-            pattern::get2<double>(input, size, offset[0], offset[1]);
+      pattern::TypedStencil<double, 2> st(env);
+      st.set_stencil([](const pattern::GridView<double, 2>& in,
+                        const pattern::MutableGridView<double, 2>& out,
+                        const int* c, const void*) {
+        out(c[0], c[1]) = in(c[0], c[1]);
       });
-      st->set_grid(grid.data(), sizeof(double), {32, 32});
-      ASSERT_TRUE(st->run(2).is_ok());
+      st.set_grid(grid, {32, 32});
+      ASSERT_TRUE(st.run(2).is_ok());
     });
   }
   const auto stencil = analysis::TraceGraph::from_recorder(trace);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/typed.h"
 
 namespace psf::pattern {
 namespace {
@@ -28,12 +29,11 @@ void sum_reduce(void* dst, const void* src) {
   *static_cast<double*>(dst) += *static_cast<const double*>(src);
 }
 
-void copy_fp(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  get2<double>(output, size, y, x) = get2<double>(input, size, y, x);
-}
+constexpr auto copy_cell = [](const GridView<double, 2>& in,
+                              const MutableGridView<double, 2>& out,
+                              const int* c, const void* /*parameter*/) {
+  out(c[0], c[1]) = in(c[0], c[1]);
+};
 
 EnvOptions cpu_options() {
   EnvOptions options;
@@ -196,11 +196,11 @@ TEST(EdgeCases, StencilGridBarelyLargerThanHalo) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(copy_fp);
-    st->set_grid(grid.data(), sizeof(double), {3, 3});
-    ASSERT_TRUE(st->run(2).is_ok());
-    st->write_back(out.data());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(copy_cell);
+    st.set_grid(grid, {3, 3});
+    ASSERT_TRUE(st.run(2).is_ok());
+    st.write_back(out);
   });
   EXPECT_EQ(out, grid);
 }
@@ -211,14 +211,14 @@ TEST(EdgeCases, StencilZeroIterations) {
   minimpi::World world(2);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(copy_fp);
-    st->set_grid(grid.data(), sizeof(double), {8, 8});
-    ASSERT_TRUE(st->run(0).is_ok());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(copy_cell);
+    st.set_grid(grid, {8, 8});
+    ASSERT_TRUE(st.run(0).is_ok());
     // write_back before any start() must die (nothing was set up)...
     // ...so run one iteration first for a defined state.
-    ASSERT_TRUE(st->run(1).is_ok());
-    st->write_back(out.data());
+    ASSERT_TRUE(st.run(1).is_ok());
+    st.write_back(out);
   });
   EXPECT_EQ(out, grid);
 }

@@ -7,6 +7,7 @@
 
 #include "minimpi/cart.h"
 #include "pattern/api.h"
+#include "pattern/typed.h"
 
 namespace psf {
 namespace {
@@ -25,7 +26,9 @@ void dummy_emit(pattern::ReductionObject*, const void*, std::size_t,
 void dummy_reduce(void*, const void*) {}
 void dummy_edge(pattern::ReductionObject*, const pattern::EdgeView&,
                 const void*, const void*, const void*) {}
-void dummy_stencil(const void*, void*, const int*, const int*, const void*) {}
+constexpr auto dummy_stencil = [](const pattern::GridView<double, 2>&,
+                                   const pattern::MutableGridView<double, 2>&,
+                                   const int*, const void*) {};
 
 // --- configuration status errors ---------------------------------------------
 
@@ -75,11 +78,14 @@ TEST(FailureInjection, StencilRejectsFourDimensions) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(dummy_stencil);
+    pattern::TypedStencil<double, 2> typed(env);
+    typed.set_stencil(dummy_stencil);
+    // The typed set_grid checks its extents; the runtime's own validation
+    // is what is under test here.
+    auto& st = typed.raw();
     const std::vector<double> grid(16, 0.0);
-    st->set_grid(grid.data(), sizeof(double), {2, 2, 2, 2});
-    EXPECT_EQ(st->start().code(), support::ErrorCode::kInvalidArgument);
+    st.set_grid(grid.data(), sizeof(double), {2, 2, 2, 2});
+    EXPECT_EQ(st.start().code(), support::ErrorCode::kInvalidArgument);
   });
 }
 
@@ -88,11 +94,11 @@ TEST(FailureInjection, StencilTopologyMustMatchWorld) {
   const std::vector<double> grid(64, 0.0);
   EXPECT_DEATH(world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(dummy_stencil);
-    st->set_grid(grid.data(), sizeof(double), {8, 8});
-    st->set_topology({2, 2});  // 4 != 3 ranks
-    (void)st->start();
+    pattern::TypedStencil<double, 2> st(env);
+    st.set_stencil(dummy_stencil);
+    st.set_grid(grid, {8, 8});
+    st.set_topology({2, 2});  // 4 != 3 ranks
+    (void)st.run(1);
   }),
                "dims product");
 }

@@ -10,9 +10,9 @@
 //     the H2D copy of chunk k+1 with kernel k on two streams, records the
 //     copy -> kernel "stream" trace edges, and accounts the overlapped
 //     interval into devsim.copy_overlap_vtime.
-//   * SIMD row-kernel dispatch — StencilRuntime batches contiguous cell
-//     runs into a registered row function (support/simd.h gate); bytes
-//     must match the scalar per-cell path exactly at every executor width.
+//   * generated row kernels — TypedStencil lowers the element function to
+//     the runtime's row loop; bytes must match a sequential reference
+//     exactly at every executor width.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,9 +25,9 @@
 #include "devsim/device.h"
 #include "minimpi/communicator.h"
 #include "pattern/api.h"
+#include "pattern/typed.h"
 #include "support/metrics.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "timemodel/trace.h"
 
 namespace psf {
@@ -320,82 +320,35 @@ TEST(HotpathPipeline, Heat3dOverlapPipelineBeatsNoOverlapAtTwoRanks) {
   }
 }
 
-// --- SIMD row-kernel dispatch -----------------------------------------------
+// --- generated row kernels ----------------------------------------------------
 
+/// Cells computed by the kernels below, across all ranks and workers.
 std::atomic<long> g_row_cells{0};
 
-/// Scalar 5-point average (the reference the row variant must match).
-void avg5_fp(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  GET_DOUBLE2(output, size, y, x) =
-      0.2 * (GET_DOUBLE2(input, size, y, x) +
-             GET_DOUBLE2(input, size, y - 1, x) +
-             GET_DOUBLE2(input, size, y + 1, x) +
-             GET_DOUBLE2(input, size, y, x - 1) +
-             GET_DOUBLE2(input, size, y, x + 1));
-}
+/// 5-point average; the sequential references below repeat the sum orders.
+constexpr auto avg5 = [](const pattern::GridView<double, 2>& in,
+                         const pattern::MutableGridView<double, 2>& out,
+                         const int* c, const void* /*parameter*/) {
+  g_row_cells.fetch_add(1, std::memory_order_relaxed);
+  const int y = c[0];
+  const int x = c[1];
+  out(y, x) = 0.2 * (in(y, x) + in(y - 1, x) + in(y + 1, x) + in(y, x - 1) +
+                     in(y, x + 1));
+};
 
-void avg5_row_fp(const void* input, void* output, const int* offset,
-                 const int* size, int count, const void* /*parameter*/) {
-  g_row_cells.fetch_add(count, std::memory_order_relaxed);
-  const int y = offset[0];
-  const int x0 = offset[1];
-  const auto* in = static_cast<const double*>(input);
-  auto* out = static_cast<double*>(output);
-  const auto stride = static_cast<std::size_t>(size[1]);
-  const double* rm = in + static_cast<std::size_t>(y - 1) * stride;
-  const double* r0 = in + static_cast<std::size_t>(y) * stride;
-  const double* rp = in + static_cast<std::size_t>(y + 1) * stride;
-  double* dst = out + static_cast<std::size_t>(y) * stride;
-  PSF_SIMD_LOOP
-  for (int i = 0; i < count; ++i) {
-    const int x = x0 + i;
-    dst[x] = 0.2 * (r0[x] + rm[x] + rp[x] + r0[x - 1] + r0[x + 1]);
-  }
-}
-
-/// Scalar 7-point 3-D average.
-void avg7_fp(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int z = offset[0];
-  const int y = offset[1];
-  const int x = offset[2];
-  GET_DOUBLE3(output, size, z, y, x) =
-      (GET_DOUBLE3(input, size, z, y, x) +
-       GET_DOUBLE3(input, size, z - 1, y, x) +
-       GET_DOUBLE3(input, size, z + 1, y, x) +
-       GET_DOUBLE3(input, size, z, y - 1, x) +
-       GET_DOUBLE3(input, size, z, y + 1, x) +
-       GET_DOUBLE3(input, size, z, y, x - 1) +
-       GET_DOUBLE3(input, size, z, y, x + 1)) /
-      7.0;
-}
-
-void avg7_row_fp(const void* input, void* output, const int* offset,
-                 const int* size, int count, const void* /*parameter*/) {
-  g_row_cells.fetch_add(count, std::memory_order_relaxed);
-  const int z = offset[0];
-  const int y = offset[1];
-  const int x0 = offset[2];
-  const auto* in = static_cast<const double*>(input);
-  auto* out = static_cast<double*>(output);
-  const auto sy = static_cast<std::size_t>(size[2]);
-  const std::size_t sz = static_cast<std::size_t>(size[1]) * sy;
-  const std::size_t base = static_cast<std::size_t>(z) * sz +
-                           static_cast<std::size_t>(y) * sy +
-                           static_cast<std::size_t>(x0);
-  const double* c0 = in + base;
-  double* dst = out + base;
-  PSF_SIMD_LOOP
-  for (int i = 0; i < count; ++i) {
-    dst[i] = (c0[i] + c0[i - static_cast<long>(sz)] +
-              c0[i + static_cast<long>(sz)] + c0[i - static_cast<long>(sy)] +
-              c0[i + static_cast<long>(sy)] + c0[i - 1] + c0[i + 1]) /
-             7.0;
-  }
-}
+/// 7-point 3-D average.
+constexpr auto avg7 = [](const pattern::GridView<double, 3>& in,
+                         const pattern::MutableGridView<double, 3>& out,
+                         const int* c, const void* /*parameter*/) {
+  g_row_cells.fetch_add(1, std::memory_order_relaxed);
+  const int z = c[0];
+  const int y = c[1];
+  const int x = c[2];
+  out(z, y, x) = (in(z, y, x) + in(z - 1, y, x) + in(z + 1, y, x) +
+                  in(z, y - 1, x) + in(z, y + 1, x) + in(z, y, x - 1) +
+                  in(z, y, x + 1)) /
+                 7.0;
+};
 
 std::vector<double> random_grid(std::size_t cells, std::uint64_t seed) {
   support::Xoshiro256 rng(seed);
@@ -404,13 +357,51 @@ std::vector<double> random_grid(std::size_t cells, std::uint64_t seed) {
   return grid;
 }
 
-std::vector<double> run_stencil(int ranks,
-                                const std::vector<std::size_t>& dims,
-                                const std::vector<double>& initial,
-                                pattern::StencilFn fn,
-                                pattern::StencilRowFn row_fn, int threads) {
+/// Sequential avg5 over an ny x nx grid with fixed borders.
+std::vector<double> reference_2d(std::vector<double> in, std::size_t ny,
+                                 std::size_t nx, int iterations) {
+  std::vector<double> out = in;
+  for (int it = 0; it < iterations; ++it) {
+    for (std::size_t y = 1; y + 1 < ny; ++y) {
+      for (std::size_t x = 1; x + 1 < nx; ++x) {
+        const std::size_t i = y * nx + x;
+        out[i] = 0.2 * (in[i] + in[i - nx] + in[i + nx] + in[i - 1] +
+                        in[i + 1]);
+      }
+    }
+    std::swap(in, out);
+  }
+  return in;
+}
+
+/// Sequential avg7 over an nz x ny x nx grid with fixed borders.
+std::vector<double> reference_3d(std::vector<double> in, std::size_t nz,
+                                 std::size_t ny, std::size_t nx,
+                                 int iterations) {
+  std::vector<double> out = in;
+  const std::size_t sz = ny * nx;
+  for (int it = 0; it < iterations; ++it) {
+    for (std::size_t z = 1; z + 1 < nz; ++z) {
+      for (std::size_t y = 1; y + 1 < ny; ++y) {
+        for (std::size_t x = 1; x + 1 < nx; ++x) {
+          const std::size_t i = z * sz + y * nx + x;
+          out[i] = (in[i] + in[i - sz] + in[i + sz] + in[i - nx] +
+                    in[i + nx] + in[i - 1] + in[i + 1]) /
+                   7.0;
+        }
+      }
+    }
+    std::swap(in, out);
+  }
+  return in;
+}
+
+template <int N, typename Fn>
+std::vector<double> run_stencil(const std::vector<std::size_t>& dims,
+                                const std::vector<double>& initial, Fn fn,
+                                int threads) {
   std::vector<double> assembled(initial.size(), 0.0);
-  minimpi::World world(ranks);
+  minimpi::World world(2);
   world.run([&](minimpi::Communicator& comm) {
     pattern::EnvOptions options;
     options.app_profile = "heat3d";
@@ -418,30 +409,26 @@ std::vector<double> run_stencil(int ranks,
     options.use_gpus = 0;
     options.num_threads = threads;
     pattern::RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
-    st->set_stencil_func(fn);
-    if (row_fn != nullptr) st->set_row_func(row_fn);
-    st->set_grid(initial.data(), sizeof(double), dims);
-    st->set_halo(1);
-    EXPECT_TRUE(st->run(3).is_ok());
-    st->write_back(assembled.data());
+    pattern::TypedStencil<double, N> st(env);
+    st.set_stencil(fn);
+    st.set_grid(initial, dims);
+    st.set_halo(1);
+    EXPECT_TRUE(st.run(3).is_ok());
+    st.write_back(assembled);
   });
   return assembled;
 }
 
+// The typed element function is lowered to the runtime's row loop, the only
+// compute path; at every executor width the row dispatch must reproduce the
+// bytes of the scalar per-cell sequential reference.
 TEST(HotpathSimd, RowDispatch2dBitIdenticalToScalarAtEveryWidth) {
   const auto initial = random_grid(48 * 37, 11);
-  const auto scalar =
-      run_stencil(2, {48, 37}, initial, avg5_fp, nullptr, /*threads=*/1);
+  const auto scalar = reference_2d(initial, 48, 37, 3);
   for (const int threads : {1, 7}) {
     g_row_cells.store(0);
-    const auto rows =
-        run_stencil(2, {48, 37}, initial, avg5_fp, avg5_row_fp, threads);
-    if (support::simd::enabled()) {
-      EXPECT_GT(g_row_cells.load(), 0) << "row path not dispatched";
-    } else {
-      EXPECT_EQ(g_row_cells.load(), 0) << "row path dispatched while off";
-    }
+    const auto rows = run_stencil<2>({48, 37}, initial, avg5, threads);
+    EXPECT_GT(g_row_cells.load(), 0) << "row path not dispatched";
     ASSERT_EQ(rows.size(), scalar.size());
     for (std::size_t i = 0; i < scalar.size(); ++i) {
       ASSERT_EQ(rows[i], scalar[i]) << "cell " << i << " width " << threads;
@@ -451,17 +438,11 @@ TEST(HotpathSimd, RowDispatch2dBitIdenticalToScalarAtEveryWidth) {
 
 TEST(HotpathSimd, RowDispatch3dBitIdenticalToScalarAtEveryWidth) {
   const auto initial = random_grid(14 * 15 * 16, 23);
-  const auto scalar =
-      run_stencil(2, {14, 15, 16}, initial, avg7_fp, nullptr, /*threads=*/1);
+  const auto scalar = reference_3d(initial, 14, 15, 16, 3);
   for (const int threads : {1, 7}) {
     g_row_cells.store(0);
-    const auto rows =
-        run_stencil(2, {14, 15, 16}, initial, avg7_fp, avg7_row_fp, threads);
-    if (support::simd::enabled()) {
-      EXPECT_GT(g_row_cells.load(), 0) << "row path not dispatched";
-    } else {
-      EXPECT_EQ(g_row_cells.load(), 0) << "row path dispatched while off";
-    }
+    const auto rows = run_stencil<3>({14, 15, 16}, initial, avg7, threads);
+    EXPECT_GT(g_row_cells.load(), 0) << "row path not dispatched";
     ASSERT_EQ(rows.size(), scalar.size());
     for (std::size_t i = 0; i < scalar.size(); ++i) {
       ASSERT_EQ(rows[i], scalar[i]) << "cell " << i << " width " << threads;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/typed.h"
 #include "support/rng.h"
 
 namespace psf::pattern {
@@ -15,49 +16,42 @@ namespace {
 
 // --- reference kernels -------------------------------------------------------
 
+using Grid2 = GridView<double, 2>;
+using Out2 = MutableGridView<double, 2>;
+
 /// 5-point averaging stencil (2-D doubles).
-void avg5_fp(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  GET_DOUBLE2(output, size, y, x) =
-      0.2 * (GET_DOUBLE2(input, size, y, x) +
-             GET_DOUBLE2(input, size, y - 1, x) +
-             GET_DOUBLE2(input, size, y + 1, x) +
-             GET_DOUBLE2(input, size, y, x - 1) +
-             GET_DOUBLE2(input, size, y, x + 1));
-}
+constexpr auto avg5 = [](const Grid2& in, const Out2& out, const int* c,
+                         const void* /*parameter*/) {
+  const int y = c[0];
+  const int x = c[1];
+  out(y, x) = 0.2 * (in(y, x) + in(y - 1, x) + in(y + 1, x) + in(y, x - 1) +
+                     in(y, x + 1));
+};
 
 /// 9-point stencil (uses diagonals — catches missing corner halos).
-void nine_fp(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
+constexpr auto nine = [](const Grid2& in, const Out2& out, const int* c,
+                         const void* /*parameter*/) {
+  const int y = c[0];
+  const int x = c[1];
   double sum = 0.0;
   for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      sum += GET_DOUBLE2(input, size, y + dy, x + dx);
-    }
+    for (int dx = -1; dx <= 1; ++dx) sum += in(y + dy, x + dx);
   }
-  GET_DOUBLE2(output, size, y, x) = sum / 9.0;
-}
+  out(y, x) = sum / 9.0;
+};
 
 /// 7-point 3-D stencil.
-void avg7_3d_fp(const void* input, void* output, const int* offset,
-                const int* size, const void* /*parameter*/) {
-  const int z = offset[0];
-  const int y = offset[1];
-  const int x = offset[2];
-  GET_DOUBLE3(output, size, z, y, x) =
-      (GET_DOUBLE3(input, size, z, y, x) +
-       GET_DOUBLE3(input, size, z - 1, y, x) +
-       GET_DOUBLE3(input, size, z + 1, y, x) +
-       GET_DOUBLE3(input, size, z, y - 1, x) +
-       GET_DOUBLE3(input, size, z, y + 1, x) +
-       GET_DOUBLE3(input, size, z, y, x - 1) +
-       GET_DOUBLE3(input, size, z, y, x + 1)) /
-      7.0;
-}
+constexpr auto avg7_3d = [](const GridView<double, 3>& in,
+                            const MutableGridView<double, 3>& out,
+                            const int* c, const void* /*parameter*/) {
+  const int z = c[0];
+  const int y = c[1];
+  const int x = c[2];
+  out(z, y, x) = (in(z, y, x) + in(z - 1, y, x) + in(z + 1, y, x) +
+                  in(z, y - 1, x) + in(z, y + 1, x) + in(z, y, x - 1) +
+                  in(z, y, x + 1)) /
+                 7.0;
+};
 
 std::vector<double> random_grid(std::size_t cells, std::uint64_t seed) {
   support::Xoshiro256 rng(seed);
@@ -136,19 +130,19 @@ EnvOptions cpu_only_options() {
 std::vector<double> run_2d(int ranks, const EnvOptions& options,
                            const std::vector<double>& initial,
                            std::size_t height, std::size_t width,
-                           int iterations, StencilFn fn,
+                           int iterations, auto fn,
                            std::vector<int> topology = {}) {
   std::vector<double> assembled(initial.size(), 0.0);
   minimpi::World world(ranks);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
-    st->set_stencil_func(fn);
-    st->set_grid(initial.data(), sizeof(double), {height, width});
-    st->set_halo(1);
-    if (!topology.empty()) st->set_topology(topology);
-    EXPECT_TRUE(st->run(iterations).is_ok());
-    st->write_back(assembled.data());  // ranks write disjoint parts
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(fn);
+    st.set_grid(initial, {height, width});
+    st.set_halo(1);
+    if (!topology.empty()) st.set_topology(topology);
+    EXPECT_TRUE(st.run(iterations).is_ok());
+    st.write_back(assembled);  // ranks write disjoint parts
   });
   return assembled;
 }
@@ -170,7 +164,7 @@ TEST_P(StencilRanks, FivePointMatchesReference) {
   const auto initial = random_grid(kH * kW, 3);
   const auto expected = reference_2d(initial, kH, kW, 4, false);
   const auto actual =
-      run_2d(ranks, cpu_only_options(), initial, kH, kW, 4, avg5_fp);
+      run_2d(ranks, cpu_only_options(), initial, kH, kW, 4, avg5);
   expect_grids_equal(actual, expected);
 }
 
@@ -185,7 +179,7 @@ TEST(Stencil, NinePointCornersPropagate) {
   const auto initial = random_grid(kH * kW, 5);
   const auto expected = reference_2d(initial, kH, kW, 3, true);
   const auto actual = run_2d(4, cpu_only_options(), initial, kH, kW, 3,
-                             nine_fp, {2, 2});
+                             nine, {2, 2});
   expect_grids_equal(actual, expected);
 }
 
@@ -197,7 +191,7 @@ TEST(Stencil, ExplicitTopologyRows) {
   for (auto topology : {std::vector<int>{4, 1}, std::vector<int>{1, 4},
                         std::vector<int>{2, 2}}) {
     const auto actual = run_2d(4, cpu_only_options(), initial, kH, kW, 2,
-                               avg5_fp, topology);
+                               avg5, topology);
     expect_grids_equal(actual, expected);
   }
 }
@@ -210,12 +204,12 @@ TEST(Stencil, ThreeDimensionalMatchesReference) {
   minimpi::World world(8);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg7_3d_fp);
-    st->set_grid(initial.data(), sizeof(double), {kN, kN, kN});
-    st->set_halo(1);
-    EXPECT_TRUE(st->run(3).is_ok());
-    st->write_back(assembled.data());
+    TypedStencil<double, 3> st(env);
+    st.set_stencil(avg7_3d);
+    st.set_grid(initial, {kN, kN, kN});
+    st.set_halo(1);
+    EXPECT_TRUE(st.run(3).is_ok());
+    st.write_back(assembled);
   });
   expect_grids_equal(assembled, expected);
 }
@@ -225,7 +219,7 @@ TEST(Stencil, BordersStayFixed) {
   constexpr std::size_t kW = 16;
   const auto initial = random_grid(kH * kW, 8);
   const auto actual =
-      run_2d(2, cpu_only_options(), initial, kH, kW, 5, avg5_fp);
+      run_2d(2, cpu_only_options(), initial, kH, kW, 5, avg5);
   for (std::size_t x = 0; x < kW; ++x) {
     EXPECT_DOUBLE_EQ(actual[x], initial[x]);
     EXPECT_DOUBLE_EQ(actual[(kH - 1) * kW + x], initial[(kH - 1) * kW + x]);
@@ -246,7 +240,7 @@ TEST(Stencil, DeviceMixesAgree) {
     EnvOptions options = cpu_only_options();
     options.use_cpu = use_cpu;
     options.use_gpus = use_gpus;
-    const auto actual = run_2d(2, options, initial, kH, kW, 3, avg5_fp);
+    const auto actual = run_2d(2, options, initial, kH, kW, 3, avg5);
     expect_grids_equal(actual, expected);
   }
 }
@@ -261,7 +255,7 @@ TEST(Stencil, OverlapAndTilingTogglesAgree) {
       EnvOptions options = cpu_only_options();
       options.overlap = overlap;
       options.tiling = tiling;
-      const auto actual = run_2d(4, options, initial, kH, kW, 3, avg5_fp);
+      const auto actual = run_2d(4, options, initial, kH, kW, 3, avg5);
       expect_grids_equal(actual, expected);
     }
   }
@@ -280,10 +274,10 @@ TEST(Stencil, OverlapReducesVirtualTime) {
     options.workload_scale = 256.0;
     world.run([&](minimpi::Communicator& comm) {
       RuntimeEnv env(comm, options);
-      auto* st = env.get_ST();
-      st->set_stencil_func(avg5_fp);
-      st->set_grid(initial.data(), sizeof(double), {kH, kW});
-      EXPECT_TRUE(st->run(4).is_ok());
+      TypedStencil<double, 2> st(env);
+      st.set_stencil(avg5);
+      st.set_grid(initial, {kH, kW});
+      EXPECT_TRUE(st.run(4).is_ok());
     });
     (overlap ? with : without) = world.makespan();
   }
@@ -302,10 +296,10 @@ TEST(Stencil, TilingImprovesCpuVirtualTime) {
     options.tiling = tiling;
     world.run([&](minimpi::Communicator& comm) {
       RuntimeEnv env(comm, options);
-      auto* st = env.get_ST();
-      st->set_stencil_func(avg5_fp);
-      st->set_grid(initial.data(), sizeof(double), {kH, kW});
-      EXPECT_TRUE(st->run(4).is_ok());
+      TypedStencil<double, 2> st(env);
+      st.set_stencil(avg5);
+      st.set_grid(initial, {kH, kW});
+      EXPECT_TRUE(st.run(4).is_ok());
     });
     (tiling ? with : without) = world.makespan();
   }
@@ -322,12 +316,12 @@ TEST(Stencil, AdaptiveSplitSkewsTowardGpus) {
   options.workload_scale = 1.0e4;  // overheads negligible at paper scale
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5_fp);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    EXPECT_TRUE(st->run(3).is_ok());
-    EXPECT_LT(st->stats().device_split[0], 0.30);
-    EXPECT_GT(st->stats().device_split[1], 0.30);
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {kH, kW});
+    EXPECT_TRUE(st.run(3).is_ok());
+    EXPECT_LT(st.raw().stats().device_split[0], 0.30);
+    EXPECT_GT(st.raw().stats().device_split[1], 0.30);
   });
 }
 
@@ -340,10 +334,10 @@ TEST(Stencil, GpusSwitchToPreferL1) {
   options.use_gpus = 1;
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5_fp);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    EXPECT_TRUE(st->run(1).is_ok());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {kH, kW});
+    EXPECT_TRUE(st.run(1).is_ok());
     EXPECT_EQ(env.active_devices()[1]->cache_preference(),
               devsim::CachePreference::kPreferL1);
   });
@@ -356,11 +350,11 @@ TEST(Stencil, StatsReportCells) {
   minimpi::World world(2);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5_fp);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    EXPECT_TRUE(st->run(1).is_ok());
-    const auto& stats = st->stats();
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {kH, kW});
+    EXPECT_TRUE(st.run(1).is_ok());
+    const auto& stats = st.raw().stats();
     // Each rank holds a 10x20 sub-grid: 200 interior cells split between
     // inner and boundary.
     EXPECT_EQ(stats.inner_cells + stats.boundary_cells, 200u);
@@ -386,11 +380,11 @@ TEST(Stencil, RejectsBadHalo) {
   const auto initial = random_grid(64, 16);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5_fp);
-    st->set_grid(initial.data(), sizeof(double), {8, 8});
-    st->set_halo(0);
-    EXPECT_EQ(st->start().code(), support::ErrorCode::kInvalidArgument);
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {8, 8});
+    st.set_halo(0);
+    EXPECT_EQ(st.raw().start().code(), support::ErrorCode::kInvalidArgument);
   });
 }
 

@@ -1,7 +1,8 @@
 // PSF — extended stencil tests: wider halos (radius-2 stencils), 1-D
 // grids, float elements, runtime reuse, a parameterized sweep over grid
 // shapes and topologies, the segment walk against a per-cell oracle, and
-// the owned-box gather.
+// the owned-box gather. Every stencil goes through TypedStencil, so the
+// runtime always runs the generated row loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,12 +12,13 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "pattern/api.h"
 #include "pattern/reduction_object.h"
+#include "pattern/typed.h"
 #include "support/rng.h"
-#include "support/simd.h"
 
 namespace psf::pattern {
 namespace {
@@ -37,17 +39,17 @@ std::vector<double> random_grid(std::size_t cells, std::uint64_t seed) {
 
 // --- radius-2 stencil (halo width 2) -----------------------------------------
 
+using Grid1 = GridView<double, 1>;
+using Out1 = MutableGridView<double, 1>;
+using Grid2 = GridView<double, 2>;
+using Out2 = MutableGridView<double, 2>;
+
 /// 1-D radius-2 smoothing kernel.
-void smooth5_1d(const void* input, void* output, const int* offset,
-                const int* size, const void* /*parameter*/) {
-  const int x = offset[0];
-  get1<double>(output, size, x) =
-      0.2 * (get1<double>(input, size, x - 2) +
-             get1<double>(input, size, x - 1) +
-             get1<double>(input, size, x) +
-             get1<double>(input, size, x + 1) +
-             get1<double>(input, size, x + 2));
-}
+constexpr auto smooth5_1d = [](const Grid1& in, const Out1& out, const int* c,
+                               const void* /*parameter*/) {
+  const int x = c[0];
+  out(x) = 0.2 * (in(x - 2) + in(x - 1) + in(x) + in(x + 1) + in(x + 2));
+};
 
 std::vector<double> reference_1d_radius2(const std::vector<double>& initial,
                                          int iterations) {
@@ -72,12 +74,12 @@ TEST(StencilHalo2, OneDimensionalRadiusTwo) {
     minimpi::World world(ranks);
     world.run([&](minimpi::Communicator& comm) {
       RuntimeEnv env(comm, cpu_options());
-      auto* st = env.get_ST();
-      st->set_stencil_func(smooth5_1d);
-      st->set_grid(initial.data(), sizeof(double), {kN});
-      st->set_halo(2);
-      ASSERT_TRUE(st->run(4).is_ok());
-      st->write_back(assembled.data());
+      TypedStencil<double, 1> st(env);
+      st.set_stencil(smooth5_1d);
+      st.set_grid(initial, {kN});
+      st.set_halo(2);
+      ASSERT_TRUE(st.run(4).is_ok());
+      st.write_back(assembled);
     });
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_NEAR(assembled[i], expected[i], 1e-12)
@@ -87,19 +89,16 @@ TEST(StencilHalo2, OneDimensionalRadiusTwo) {
 }
 
 /// 2-D radius-2 cross kernel.
-void cross9_2d(const void* input, void* output, const int* offset,
-               const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  double sum = get2<double>(input, size, y, x);
+constexpr auto cross9_2d = [](const Grid2& in, const Out2& out, const int* c,
+                              const void* /*parameter*/) {
+  const int y = c[0];
+  const int x = c[1];
+  double sum = in(y, x);
   for (int r = 1; r <= 2; ++r) {
-    sum += get2<double>(input, size, y - r, x) +
-           get2<double>(input, size, y + r, x) +
-           get2<double>(input, size, y, x - r) +
-           get2<double>(input, size, y, x + r);
+    sum += in(y - r, x) + in(y + r, x) + in(y, x - r) + in(y, x + r);
   }
-  get2<double>(output, size, y, x) = sum / 9.0;
-}
+  out(y, x) = sum / 9.0;
+};
 
 TEST(StencilHalo2, TwoDimensionalRadiusTwo) {
   constexpr std::size_t kH = 26;
@@ -127,12 +126,12 @@ TEST(StencilHalo2, TwoDimensionalRadiusTwo) {
   minimpi::World world(4);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(cross9_2d);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    st->set_halo(2);
-    ASSERT_TRUE(st->run(3).is_ok());
-    st->write_back(assembled.data());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(cross9_2d);
+    st.set_grid(initial, {kH, kW});
+    st.set_halo(2);
+    ASSERT_TRUE(st.run(3).is_ok());
+    st.write_back(assembled);
   });
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_NEAR(assembled[i], expected[i], 1e-12) << "cell " << i;
@@ -141,13 +140,11 @@ TEST(StencilHalo2, TwoDimensionalRadiusTwo) {
 
 // --- float elements -----------------------------------------------------------
 
-void scale_float(const void* input, void* output, const int* offset,
-                 const int* size, const void* parameter) {
-  const float factor = *static_cast<const float*>(parameter);
-  const int y = offset[0];
-  const int x = offset[1];
-  GET_FLOAT2(output, size, y, x) = GET_FLOAT2(input, size, y, x) * factor;
-}
+constexpr auto scale_float = [](const GridView<float, 2>& in,
+                                 const MutableGridView<float, 2>& out,
+                                 const int* c, const float* factor) {
+  out(c[0], c[1]) = in(c[0], c[1]) * *factor;
+};
 
 TEST(StencilTypes, FloatElementsAndParameter) {
   constexpr std::size_t kH = 12;
@@ -158,12 +155,12 @@ TEST(StencilTypes, FloatElementsAndParameter) {
   minimpi::World world(2);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(scale_float);
-    st->set_grid(initial.data(), sizeof(float), {kH, kW});
-    st->set_parameter(&factor);
-    ASSERT_TRUE(st->run(2).is_ok());
-    st->write_back(assembled.data());
+    TypedStencil<float, 2> st(env);
+    st.set_stencil<float>(scale_float);
+    st.set_grid(initial, {kH, kW});
+    st.set_parameter(&factor);
+    ASSERT_TRUE(st.run(2).is_ok());
+    st.write_back(assembled);
   });
   // Interior (non-fixed) cells halved twice; the fixed border unchanged.
   EXPECT_FLOAT_EQ(assembled[5 * kW + 5], 0.5f);
@@ -172,12 +169,10 @@ TEST(StencilTypes, FloatElementsAndParameter) {
 
 // --- runtime reuse --------------------------------------------------------------
 
-void incr_fp(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  get2<double>(output, size, y, x) = get2<double>(input, size, y, x) + 1.0;
-}
+constexpr auto incr = [](const Grid2& in, const Out2& out, const int* c,
+                          const void* /*parameter*/) {
+  out(c[0], c[1]) = in(c[0], c[1]) + 1.0;
+};
 
 TEST(StencilReuse, SameRuntimeNewGrid) {
   constexpr std::size_t kN = 10;
@@ -189,17 +184,17 @@ TEST(StencilReuse, SameRuntimeNewGrid) {
   minimpi::World world(2);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(incr_fp);
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(incr);
 
-    st->set_grid(grid_a.data(), sizeof(double), {kN, kN});
-    ASSERT_TRUE(st->run(3).is_ok());
-    st->write_back(out_a.data());
+    st.set_grid(grid_a, {kN, kN});
+    ASSERT_TRUE(st.run(3).is_ok());
+    st.write_back(out_a);
 
     // Reconfigure the SAME runtime instance for a second grid (paper II-B).
-    st->set_grid(grid_b.data(), sizeof(double), {kN, kN});
-    ASSERT_TRUE(st->run(1).is_ok());
-    st->write_back(out_b.data());
+    st.set_grid(grid_b, {kN, kN});
+    ASSERT_TRUE(st.run(1).is_ok());
+    st.write_back(out_b);
     comm.barrier();
   });
   EXPECT_DOUBLE_EQ(out_a[5 * kN + 5], 3.0);
@@ -208,17 +203,13 @@ TEST(StencilReuse, SameRuntimeNewGrid) {
 
 // --- parameterized shape sweep -----------------------------------------------
 
-void avg5(const void* input, void* output, const int* offset,
-          const int* size, const void* /*parameter*/) {
-  const int y = offset[0];
-  const int x = offset[1];
-  get2<double>(output, size, y, x) =
-      0.2 * (get2<double>(input, size, y, x) +
-             get2<double>(input, size, y - 1, x) +
-             get2<double>(input, size, y + 1, x) +
-             get2<double>(input, size, y, x - 1) +
-             get2<double>(input, size, y, x + 1));
-}
+constexpr auto avg5 = [](const Grid2& in, const Out2& out, const int* c,
+                         const void* /*parameter*/) {
+  const int y = c[0];
+  const int x = c[1];
+  out(y, x) = 0.2 * (in(y, x) + in(y - 1, x) + in(y + 1, x) + in(y, x - 1) +
+                     in(y, x + 1));
+};
 
 struct ShapeCase {
   std::size_t height;
@@ -250,12 +241,11 @@ TEST_P(StencilShapes, MatchesReference) {
   minimpi::World world(param.ranks);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5);
-    st->set_grid(initial.data(), sizeof(double),
-                 {param.height, param.width});
-    ASSERT_TRUE(st->run(2).is_ok());
-    st->write_back(assembled.data());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {param.height, param.width});
+    ASSERT_TRUE(st.run(2).is_ok());
+    st.write_back(assembled);
   });
   for (std::size_t i = 0; i < in.size(); ++i) {
     ASSERT_NEAR(assembled[i], in[i], 1e-12) << "cell " << i;
@@ -279,14 +269,11 @@ namespace {
 // --- periodic boundaries --------------------------------------------------------
 
 /// 1-D ring average: out[x] = avg(in[x-1], in[x], in[x+1]) with wraparound.
-void ring_avg_1d(const void* input, void* output, const int* offset,
-                 const int* size, const void* /*parameter*/) {
-  const int x = offset[0];
-  get1<double>(output, size, x) =
-      (get1<double>(input, size, x - 1) + get1<double>(input, size, x) +
-       get1<double>(input, size, x + 1)) /
-      3.0;
-}
+constexpr auto ring_avg_1d = [](const Grid1& in, const Out1& out,
+                                const int* c, const void* /*parameter*/) {
+  const int x = c[0];
+  out(x) = (in(x - 1) + in(x) + in(x + 1)) / 3.0;
+};
 
 TEST(StencilPeriodic, OneDimensionalRingMatchesReference) {
   constexpr std::size_t kN = 48;
@@ -307,12 +294,12 @@ TEST(StencilPeriodic, OneDimensionalRingMatchesReference) {
     minimpi::World world(ranks);
     world.run([&](minimpi::Communicator& comm) {
       RuntimeEnv env(comm, cpu_options());
-      auto* st = env.get_ST();
-      st->set_stencil_func(ring_avg_1d);
-      st->set_grid(initial.data(), sizeof(double), {kN});
-      st->set_periodic({true});
-      ASSERT_TRUE(st->run(5).is_ok());
-      st->write_back(assembled.data());
+      TypedStencil<double, 1> st(env);
+      st.set_stencil(ring_avg_1d);
+      st.set_grid(initial, {kN});
+      st.set_periodic({true});
+      ASSERT_TRUE(st.run(5).is_ok());
+      st.write_back(assembled);
     });
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_NEAR(assembled[i], expected[i], 1e-12)
@@ -345,13 +332,13 @@ TEST(StencilPeriodic, TwoDimensionalTorusMatchesReference) {
   minimpi::World world(4);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    st->set_periodic({true, true});
-    st->set_topology({2, 2});
-    ASSERT_TRUE(st->run(3).is_ok());
-    st->write_back(assembled.data());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {kH, kW});
+    st.set_periodic({true, true});
+    st.set_topology({2, 2});
+    ASSERT_TRUE(st.run(3).is_ok());
+    st.write_back(assembled);
   });
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_NEAR(assembled[i], expected[i], 1e-12) << "cell " << i;
@@ -382,12 +369,12 @@ TEST(StencilPeriodic, MixedPeriodicAndFixed) {
   minimpi::World world(4);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    st->set_periodic({false, true});
-    ASSERT_TRUE(st->run(3).is_ok());
-    st->write_back(assembled.data());
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {kH, kW});
+    st.set_periodic({false, true});
+    ASSERT_TRUE(st.run(3).is_ok());
+    st.write_back(assembled);
   });
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_NEAR(assembled[i], expected[i], 1e-12) << "cell " << i;
@@ -544,25 +531,42 @@ struct CellLog {
   }
 };
 
-Cell to_cell(const int* offset, const int* size) {
-  Cell c{};
-  for (std::size_t d = 0; d < 3 && size[d] > 0; ++d) c[d] = offset[d];
-  return c;
+/// Calls `body(std::integral_constant<int, N>{})` with N == ndims (1-3), so
+/// a random-geometry test can instantiate TypedStencil<double, N>.
+template <typename Body>
+void for_ndims(int ndims, Body&& body) {
+  if (ndims == 1) {
+    body(std::integral_constant<int, 1>{});
+  } else if (ndims == 2) {
+    body(std::integral_constant<int, 2>{});
+  } else {
+    body(std::integral_constant<int, 3>{});
+  }
 }
 
-void record_stencil(const void* /*input*/, void* /*output*/, const int* offset,
-                    const int* size, const void* /*parameter*/) {
-  CellLog::current->stencil.push_back(to_cell(offset, size));
-}
+/// Records every cell the generated row loop computes.
+template <int N>
+struct RecordStencil {
+  void operator()(const GridView<double, N>& /*in*/,
+                  const MutableGridView<double, N>& /*out*/, const int* c,
+                  const void* /*parameter*/) const {
+    Cell cell{};
+    std::copy_n(c, N, cell.begin());
+    CellLog::current->stencil.push_back(cell);
+  }
+};
 
-void ignore_cell(const void* /*input*/, void* /*output*/,
-                 const int* /*offset*/, const int* /*size*/,
-                 const void* /*parameter*/) {}
+constexpr auto ignore_cell = [](const auto& /*in*/, const auto& /*out*/,
+                                const int* /*c*/, const void* /*parameter*/) {
+};
 
 void record_emit(ReductionObject* /*obj*/, const void* /*old_grid*/,
                  const void* /*new_grid*/, const int* offset, const int* size,
                  const void* /*parameter*/) {
-  CellLog::current->emit.push_back(to_cell(offset, size));
+  // The runtime passes zero extents for the unused dimensions.
+  Cell c{};
+  for (std::size_t d = 0; d < 3 && size[d] > 0; ++d) c[d] = offset[d];
+  CellLog::current->emit.push_back(c);
 }
 
 void sum_doubles(void* dst, const void* src) {
@@ -586,26 +590,6 @@ class LogSink : public StencilEmitSink {
                           sum_doubles};
 };
 
-/// Row-function log for the vectorized path: order within a pass is not
-/// observable without a block hook, so it is compared as a sorted set.
-struct RowLog {
-  std::mutex mutex;
-  std::vector<Cell> cells;
-};
-
-void record_row(const void* /*input*/, void* /*output*/, const int* offset,
-                const int* size, int count, const void* parameter) {
-  auto* log = static_cast<RowLog*>(const_cast<void*>(parameter));
-  Cell c = to_cell(offset, size);
-  int line = 0;
-  while (line + 1 < 3 && size[line + 1] > 0) ++line;
-  std::lock_guard<std::mutex> guard(log->mutex);
-  for (int i = 0; i < count; ++i) {
-    log->cells.push_back(c);
-    ++c[static_cast<std::size_t>(line)];
-  }
-}
-
 // Checks run on the rank threads use EXPECT: an early return from one rank
 // would leave its peers blocked in the halo exchange.
 TEST(StencilSegmentWalk, VisitsTheOracleCellsInOrder) {
@@ -622,85 +606,54 @@ TEST(StencilSegmentWalk, VisitsTheOracleCellsInOrder) {
       options.use_gpus = wc.gpus;
       options.num_threads = 1 + comm.rank() % 3;
       RuntimeEnv env(comm, options);
-      auto* st = env.get_ST();
-      st->set_stencil_func(record_stencil);
-      st->set_grid(grid.data(), sizeof(double), wc.dims);
-      st->set_halo(wc.halo);
-      st->set_topology(wc.topology);
-      st->set_periodic(wc.periodic);
-      CellLog log;
-      LogSink sink(log);
-      st->set_fused_emit(record_emit, nullptr, &sink);
-      const std::string rank = where + " rank " + std::to_string(comm.rank());
-      for (int sweep = 0; sweep < 2; ++sweep) {
-        log.blocks.clear();
+      for_ndims(wc.ndims, [&](auto dims) {
+        constexpr int kDims = decltype(dims)::value;
+        TypedStencil<double, kDims> typed(env);
+        typed.set_stencil(RecordStencil<kDims>{});
+        typed.set_grid(grid, wc.dims);
+        typed.set_halo(wc.halo);
+        typed.set_topology(wc.topology);
+        typed.set_periodic(wc.periodic);
+        StencilRuntime* st = &typed.raw();
+        CellLog log;
+        LogSink sink(log);
+        st->set_fused_emit(record_emit, nullptr, &sink);
+        const std::string rank =
+            where + " rank " + std::to_string(comm.rank());
+        for (int sweep = 0; sweep < 2; ++sweep) {
+          log.blocks.clear();
+          EXPECT_TRUE(st->start().is_ok()) << rank;
+          const Oracle oracle =
+              classify(wc, st->local_extents(), st->global_offset());
+          const std::string at = rank + " sweep " + std::to_string(sweep);
+          EXPECT_EQ(st->stats().inner_cells, oracle.stats_inner) << at;
+          EXPECT_EQ(st->stats().boundary_cells, oracle.stats_boundary) << at;
+          EXPECT_TRUE(log.concat(0, false) == oracle.inner)
+              << at << ": inner-pass stencil cells";
+          EXPECT_TRUE(log.concat(0, true) == oracle.inner)
+              << at << ": inner-pass emit cells";
+          EXPECT_TRUE(log.concat(1, false) == oracle.boundary)
+              << at << ": boundary-pass stencil cells";
+          EXPECT_TRUE(log.concat(1, true) == oracle.boundary_pass)
+              << at << ": boundary-pass emit cells";
+        }
+        // The unfused reduce pass walks the same segments, emits only. Its
+        // sweep runs no block hook, so it must not record.
+        st->clear_fused_emit();
+        typed.set_stencil(ignore_cell);
         EXPECT_TRUE(st->start().is_ok()) << rank;
+        log.blocks.clear();
+        EXPECT_TRUE(st->reduce_pass(record_emit, nullptr, &sink).is_ok());
         const Oracle oracle =
             classify(wc, st->local_extents(), st->global_offset());
-        const std::string at = rank + " sweep " + std::to_string(sweep);
-        EXPECT_EQ(st->stats().inner_cells, oracle.stats_inner) << at;
-        EXPECT_EQ(st->stats().boundary_cells, oracle.stats_boundary) << at;
-        EXPECT_TRUE(log.concat(0, false) == oracle.inner)
-            << at << ": inner-pass stencil cells";
         EXPECT_TRUE(log.concat(0, true) == oracle.inner)
-            << at << ": inner-pass emit cells";
-        EXPECT_TRUE(log.concat(1, false) == oracle.boundary)
-            << at << ": boundary-pass stencil cells";
+            << rank << ": reduce-pass inner emits";
         EXPECT_TRUE(log.concat(1, true) == oracle.boundary_pass)
-            << at << ": boundary-pass emit cells";
-      }
-      // The unfused reduce pass walks the same segments, emits only. Its
-      // sweep runs no block hook, so it must not record.
-      st->clear_fused_emit();
-      st->set_stencil_func(ignore_cell);
-      EXPECT_TRUE(st->start().is_ok()) << rank;
-      log.blocks.clear();
-      EXPECT_TRUE(st->reduce_pass(record_emit, nullptr, &sink).is_ok());
-      const Oracle oracle =
-          classify(wc, st->local_extents(), st->global_offset());
-      EXPECT_TRUE(log.concat(0, true) == oracle.inner)
-          << rank << ": reduce-pass inner emits";
-      EXPECT_TRUE(log.concat(1, true) == oracle.boundary_pass)
-          << rank << ": reduce-pass boundary emits";
-      EXPECT_TRUE(log.concat(0, false).empty() && log.concat(1, false).empty())
-          << rank << ": reduce pass applied the stencil";
-      env.finalize();
-    });
-  }
-}
-
-TEST(StencilSegmentWalk, RowFunctionCoversTheOracleCells) {
-  if (!support::simd::enabled()) GTEST_SKIP() << "row dispatch disabled";
-  support::Xoshiro256 rng(0x5ea);
-  for (int trial = 0; trial < 40 && !HasFailure(); ++trial) {
-    const WalkCase wc = draw_case(rng);
-    const std::string where = describe(wc);
-    std::size_t total = 1;
-    for (const auto d : wc.dims) total *= d;
-    const std::vector<double> grid(total, 1.0);
-    minimpi::World world(wc.ranks);
-    world.run([&](minimpi::Communicator& comm) {
-      EnvOptions options = cpu_options();
-      options.use_gpus = wc.gpus;
-      RuntimeEnv env(comm, options);
-      auto* st = env.get_ST();
-      RowLog log;
-      st->set_stencil_func(ignore_cell);
-      st->set_row_func(record_row);
-      st->set_parameter(&log);
-      st->set_grid(grid.data(), sizeof(double), wc.dims);
-      st->set_halo(wc.halo);
-      st->set_topology(wc.topology);
-      st->set_periodic(wc.periodic);
-      EXPECT_TRUE(st->start().is_ok()) << where;
-      Oracle oracle = classify(wc, st->local_extents(), st->global_offset());
-      std::vector<Cell> expected = oracle.inner;
-      expected.insert(expected.end(), oracle.boundary.begin(),
-                      oracle.boundary.end());
-      std::sort(expected.begin(), expected.end());
-      std::sort(log.cells.begin(), log.cells.end());
-      EXPECT_TRUE(log.cells == expected)
-          << where << " rank " << comm.rank() << ": row-function cells";
+            << rank << ": reduce-pass boundary emits";
+        EXPECT_TRUE(log.concat(0, false).empty() &&
+                    log.concat(1, false).empty())
+            << rank << ": reduce pass applied the stencil";
+      });
       env.finalize();
     });
   }
@@ -708,36 +661,29 @@ TEST(StencilSegmentWalk, RowFunctionCoversTheOracleCells) {
 
 // --- box copies in random geometries --------------------------------------------
 
-/// Axis cross of radius `*parameter` (the halo) in any dimensionality:
-/// the cell plus its 2*radius neighbors along every dimension, averaged.
-void cross_avg(const void* input, void* output, const int* offset,
-               const int* size, const void* parameter) {
-  const int radius = *static_cast<const int*>(parameter);
-  int ndims = 0;
-  while (ndims < 3 && size[ndims] > 0) ++ndims;
-  const auto index = [&](const Cell& c) {
-    std::size_t i = 0;
-    for (int d = 0; d < ndims; ++d) {
-      i = i * static_cast<std::size_t>(size[d]) +
-          static_cast<std::size_t>(c[static_cast<std::size_t>(d)]);
+/// Axis cross of radius `*radius` (the halo) in N dimensions: the cell
+/// plus its 2*radius neighbors along every dimension, averaged.
+template <int N>
+struct CrossAvg {
+  void operator()(const GridView<double, N>& in,
+                  const MutableGridView<double, N>& out, const int* c,
+                  const int* radius) const {
+    std::array<int, N> at{};
+    std::copy_n(c, N, at.begin());
+    double sum = std::apply(in, at);
+    for (std::size_t d = 0; d < N; ++d) {
+      for (int k = 1; k <= *radius; ++k) {
+        auto lo = at;
+        auto hi = at;
+        lo[d] -= k;
+        hi[d] += k;
+        sum += std::apply(in, lo);
+        sum += std::apply(in, hi);
+      }
     }
-    return i;
-  };
-  const auto* in = static_cast<const double*>(input);
-  const Cell c = to_cell(offset, size);
-  double sum = in[index(c)];
-  for (int d = 0; d < ndims; ++d) {
-    for (int k = 1; k <= radius; ++k) {
-      Cell lo = c;
-      Cell hi = c;
-      lo[static_cast<std::size_t>(d)] -= k;
-      hi[static_cast<std::size_t>(d)] += k;
-      sum += in[index(lo)];
-      sum += in[index(hi)];
-    }
+    std::apply(out, at) = sum / (1 + 2 * *radius * N);
   }
-  static_cast<double*>(output)[index(c)] = sum / (1 + 2 * radius * ndims);
-}
+};
 
 /// cross_avg on the global grid: indices wrap along periodic dimensions,
 /// cells within the halo of a fixed border keep their value.
@@ -810,16 +756,19 @@ TEST(StencilBoxCopies, RandomGeometriesMatchTheGlobalReference) {
       EnvOptions options = cpu_options();
       options.use_gpus = wc.gpus;
       RuntimeEnv env(comm, options);
-      auto* st = env.get_ST();
-      st->set_stencil_func(cross_avg);
-      st->set_parameter(&wc.halo);
-      st->set_grid(initial.data(), sizeof(double), wc.dims);
-      st->set_halo(wc.halo);
-      st->set_topology(wc.topology);
-      st->set_periodic(wc.periodic);
-      EXPECT_TRUE(st->run(2).is_ok());
-      st->write_back(written.data());  // disjoint boxes, one per rank
-      st->gather(gathered.data(), wc.ranks - 1);
+      for_ndims(wc.ndims, [&](auto dims) {
+        constexpr int kDims = decltype(dims)::value;
+        TypedStencil<double, kDims> st(env);
+        st.template set_stencil<int>(CrossAvg<kDims>{});
+        st.set_parameter(&wc.halo);
+        st.set_grid(initial, wc.dims);
+        st.set_halo(wc.halo);
+        st.set_topology(wc.topology);
+        st.set_periodic(wc.periodic);
+        EXPECT_TRUE(st.run(2).is_ok());
+        st.write_back(written);  // disjoint boxes, one per rank
+        st.gather(gathered, wc.ranks - 1);
+      });
       env.finalize();
     });
     for (std::size_t i = 0; i < total; ++i) {
@@ -831,21 +780,17 @@ TEST(StencilBoxCopies, RandomGeometriesMatchTheGlobalReference) {
 
 // --- owned-box gather -----------------------------------------------------------
 
-void avg7_3d(const void* input, void* output, const int* offset,
-             const int* size, const void* /*parameter*/) {
-  const int z = offset[0];
-  const int y = offset[1];
-  const int x = offset[2];
-  get3<double>(output, size, z, y, x) =
-      (get3<double>(input, size, z, y, x) +
-       get3<double>(input, size, z - 1, y, x) +
-       get3<double>(input, size, z + 1, y, x) +
-       get3<double>(input, size, z, y - 1, x) +
-       get3<double>(input, size, z, y + 1, x) +
-       get3<double>(input, size, z, y, x - 1) +
-       get3<double>(input, size, z, y, x + 1)) /
-      7.0;
-}
+constexpr auto avg7_3d = [](const GridView<double, 3>& in,
+                            const MutableGridView<double, 3>& out,
+                            const int* c, const void* /*parameter*/) {
+  const int z = c[0];
+  const int y = c[1];
+  const int x = c[2];
+  out(z, y, x) = (in(z, y, x) + in(z - 1, y, x) + in(z + 1, y, x) +
+                  in(z, y - 1, x) + in(z, y + 1, x) + in(z, y, x - 1) +
+                  in(z, y, x + 1)) /
+                 7.0;
+};
 
 TEST(StencilGather, MatchesWriteBackSumReduce) {
   constexpr double kSentinel = -12345.0;
@@ -864,17 +809,27 @@ TEST(StencilGather, MatchesWriteBackSumReduce) {
       minimpi::World world(ranks);
       world.run([&](minimpi::Communicator& comm) {
         RuntimeEnv env(comm, cpu_options());
-        auto* st = env.get_ST();
-        st->set_stencil_func(dims.size() == 2 ? avg5 : avg7_3d);
-        st->set_grid(initial.data(), sizeof(double), dims);
-        EXPECT_TRUE(st->run(2).is_ok());
-        const auto rank = static_cast<std::size_t>(comm.rank());
-        auto& reference = summed[rank];
-        reference.assign(total, 0.0);
-        st->write_back(reference.data());
-        comm.reduce<double>(reference, 0, [](double& a, double b) { a += b; });
-        gathered[rank].assign(total, kSentinel);
-        st->gather(gathered[rank].data(), 0);
+        const auto check = [&](auto& st) {
+          st.set_grid(initial, dims);
+          EXPECT_TRUE(st.run(2).is_ok());
+          const auto rank = static_cast<std::size_t>(comm.rank());
+          auto& reference = summed[rank];
+          reference.assign(total, 0.0);
+          st.write_back(reference);
+          comm.reduce<double>(reference, 0,
+                              [](double& a, double b) { a += b; });
+          gathered[rank].assign(total, kSentinel);
+          st.gather(gathered[rank], 0);
+        };
+        if (dims.size() == 2) {
+          TypedStencil<double, 2> st(env);
+          st.set_stencil(avg5);
+          check(st);
+        } else {
+          TypedStencil<double, 3> st(env);
+          st.set_stencil(avg7_3d);
+          check(st);
+        }
         env.finalize();
       });
       for (std::size_t i = 0; i < total; ++i) {
@@ -901,14 +856,14 @@ TEST(StencilGather, NonZeroRootGetsTheWholeGrid) {
   minimpi::World world(kRanks);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5);
-    st->set_grid(initial.data(), sizeof(double), {kH, kW});
-    EXPECT_TRUE(st->run(3).is_ok());
-    st->write_back(shared.data());  // disjoint boxes, one per rank
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(initial, {kH, kW});
+    EXPECT_TRUE(st.run(3).is_ok());
+    st.write_back(shared);  // disjoint boxes, one per rank
     auto& mine = gathered[static_cast<std::size_t>(comm.rank())];
     mine.assign(kH * kW, 0.0);
-    st->gather(mine.data(), kRoot);
+    st.gather(mine, kRoot);
     env.finalize();
   });
   EXPECT_EQ(gathered[kRoot], shared);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/typed.h"
 #include "support/rng.h"
 
 namespace psf {
@@ -21,17 +22,14 @@ void degree_compute(pattern::ReductionObject* obj,
 void sum_reduce(void* dst, const void* src) {
   *static_cast<double*>(dst) += *static_cast<const double*>(src);
 }
-void avg5(const void* input, void* output, const int* offset,
-          const int* size, const void*) {
-  const int y = offset[0];
-  const int x = offset[1];
-  pattern::get2<double>(output, size, y, x) =
-      0.2 * (pattern::get2<double>(input, size, y, x) +
-             pattern::get2<double>(input, size, y - 1, x) +
-             pattern::get2<double>(input, size, y + 1, x) +
-             pattern::get2<double>(input, size, y, x - 1) +
-             pattern::get2<double>(input, size, y, x + 1));
-}
+constexpr auto avg5 = [](const pattern::GridView<double, 2>& in,
+                         const pattern::MutableGridView<double, 2>& out,
+                         const int* c, const void*) {
+  const int y = c[0];
+  const int x = c[1];
+  out(y, x) = 0.2 * (in(y, x) + in(y - 1, x) + in(y + 1, x) + in(y, x - 1) +
+                     in(y, x + 1));
+};
 
 TEST(Stress, FortyEightRankIrregularReduction) {
   constexpr int kRanks = 48;
@@ -117,11 +115,11 @@ TEST(Stress, FortyEightRankStencil) {
     pattern::EnvOptions options;
     options.use_cpu = true;
     pattern::RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg5);
-    st->set_grid(grid.data(), sizeof(double), {kH, kW});
-    ASSERT_TRUE(st->run(2).is_ok());
-    st->write_back(assembled.data());
+    pattern::TypedStencil<double, 2> st(env);
+    st.set_stencil(avg5);
+    st.set_grid(grid, {kH, kW});
+    ASSERT_TRUE(st.run(2).is_ok());
+    st.write_back(assembled);
   });
   for (std::size_t i = 0; i < in.size(); ++i) {
     ASSERT_NEAR(assembled[i], in[i], 1e-12) << "cell " << i;

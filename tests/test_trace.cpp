@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/typed.h"
 #include "timemodel/trace.h"
 
 namespace psf {
@@ -138,13 +139,11 @@ TEST(TraceIntegration, GrRunProducesComputeAndCombineSpans) {
   EXPECT_TRUE(saw_combine);
 }
 
-void avg_fp(const void* input, void* output, const int* offset,
-            const int* size, const void*) {
-  const int y = offset[0];
-  const int x = offset[1];
-  pattern::get2<double>(output, size, y, x) =
-      pattern::get2<double>(input, size, y, x);
-}
+constexpr auto copy_cell = [](const pattern::GridView<double, 2>& in,
+                              const pattern::MutableGridView<double, 2>& out,
+                              const int* c, const void* /*parameter*/) {
+  out(c[0], c[1]) = in(c[0], c[1]);
+};
 
 TEST(TraceIntegration, StencilRunProducesExchangeAndTileSpans) {
   std::vector<double> grid(32 * 32, 1.0);
@@ -155,10 +154,10 @@ TEST(TraceIntegration, StencilRunProducesExchangeAndTileSpans) {
     options.use_cpu = true;
     options.trace = &trace;
     pattern::RuntimeEnv env(comm, options);
-    auto* st = env.get_ST();
-    st->set_stencil_func(avg_fp);
-    st->set_grid(grid.data(), sizeof(double), {32, 32});
-    ASSERT_TRUE(st->run(2).is_ok());
+    pattern::TypedStencil<double, 2> st(env);
+    st.set_stencil(copy_cell);
+    st.set_grid(grid, {32, 32});
+    ASSERT_TRUE(st.run(2).is_ok());
   });
   int exchanges = 0;
   int inner = 0;

@@ -203,5 +203,44 @@ TEST(GridView, ExtentsAndIndexing) {
   EXPECT_EQ(view(1, 0, 2), 14);
 }
 
+// The views cache their strides at construction; every accessor must still
+// address exactly the row-major element of the padded extents, through the
+// const and the mutable view alike.
+TEST(GridView, CachedStridesAddressRowMajorElements) {
+  const int size[3] = {5, 7, 9};
+  std::vector<double> data(5 * 7 * 9);
+  const GridView<double, 1> in1(data.data(), size);
+  const MutableGridView<double, 1> out1(data.data(), size);
+  for (int x0 = 0; x0 < size[0]; ++x0) {
+    EXPECT_EQ(&in1(x0), &data[static_cast<std::size_t>(x0)]);
+    EXPECT_EQ(&out1(x0), &in1(x0));
+  }
+  const GridView<double, 2> in2(data.data(), size);
+  const MutableGridView<double, 2> out2(data.data(), size);
+  for (int x0 = 0; x0 < size[0]; ++x0) {
+    for (int x1 = 0; x1 < size[1]; ++x1) {
+      const auto at = static_cast<std::size_t>(x0 * size[1] + x1);
+      EXPECT_EQ(&in2(x0, x1), &data[at]);
+      EXPECT_EQ(&out2(x0, x1), &in2(x0, x1));
+    }
+  }
+  const GridView<double, 3> in3(data.data(), size);
+  const MutableGridView<double, 3> out3(data.data(), size);
+  for (int x0 = 0; x0 < size[0]; ++x0) {
+    for (int x1 = 0; x1 < size[1]; ++x1) {
+      for (int x2 = 0; x2 < size[2]; ++x2) {
+        const auto at =
+            static_cast<std::size_t>((x0 * size[1] + x1) * size[2] + x2);
+        EXPECT_EQ(&in3(x0, x1, x2), &data[at]);
+        EXPECT_EQ(&out3(x0, x1, x2), &in3(x0, x1, x2));
+      }
+    }
+  }
+  for (int dim = 0; dim < 3; ++dim) {
+    EXPECT_EQ(in3.extent(dim), size[dim]);
+    EXPECT_EQ(out3.extent(dim), size[dim]);
+  }
+}
+
 }  // namespace
 }  // namespace psf::pattern
