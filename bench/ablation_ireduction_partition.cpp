@@ -17,22 +17,20 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "pattern/ireduction.h"
+#include "pattern/typed.h"
 
 namespace psf::bench {
 namespace {
 
-void sum_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto sum_reduce = [](double& dst, const double& src) { dst += src; };
 
-void degree_compute(pattern::ReductionObject* obj,
-                    const pattern::EdgeView& edge, const void*, const void*,
-                    const void*) {
-  const double one = 1.0;
-  if (edge.update[0]) obj->insert(edge.node[0], &one);
-  if (edge.update[1]) obj->insert(edge.node[1], &one);
-}
+constexpr auto degree_compute = [](pattern::TypedObject<double>& obj,
+                                   const pattern::EdgeView& edge,
+                                   const double* /*nodes*/,
+                                   const void* /*parameter*/) {
+  if (edge.update[0]) obj.insert(edge.node[0], 1.0);
+  if (edge.update[1]) obj.insert(edge.node[1], 1.0);
+};
 
 /// Measured per-iteration time of the paper's reduction-space scheme.
 double reduction_space_vtime(const MoldynWorkload& workload, int nodes) {
@@ -41,18 +39,16 @@ double reduction_space_vtime(const MoldynWorkload& workload, int nodes) {
   world.run([&](minimpi::Communicator& comm) {
     DeviceConfig config{"", true, 2};
     pattern::RuntimeEnv env(comm, make_options(workload.scales, config));
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
+    pattern::TypedIReduce<double, double> ir(env);
+    ir.set_edge_compute(degree_compute);
+    ir.set_node_reduce(sum_reduce);
     std::vector<double> node_data(workload.params.num_nodes, 0.0);
-    ir->set_nodes(node_data.data(), sizeof(double), node_data.size());
-    ir->set_edges(workload.edges.data(), workload.edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
+    ir.set_nodes(node_data);
+    ir.set_edges(workload.edges);
     double t1 = 0.0;
     for (int i = 0; i < 3; ++i) {
-      PSF_CHECK(ir->start().is_ok());
-      ir->update_nodedata(
-          +[](void*, const void*, const void*) {});
+      PSF_CHECK(ir.start().is_ok());
+      ir.update_nodedata([](double&, const double*, const void*) {});
       if (i == 0) t1 = comm.timeline().now();
     }
     steady[static_cast<std::size_t>(comm.rank())] =

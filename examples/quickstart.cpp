@@ -1,6 +1,7 @@
 // PSF quickstart — a complete generalized-reduction application in the
-// style of the paper's Listing 2: word-length histogram over synthetic
-// records, running on a simulated 4-node CPU+GPU cluster.
+// style of the paper's Listing 2, written through the typed facade
+// (TypedGReduce): word-length histogram over synthetic records, running on
+// a simulated 4-node CPU+GPU cluster.
 //
 //   $ ./quickstart [nodes] [gpus-per-node]
 #include <cstdio>
@@ -15,16 +16,15 @@ namespace {
 // --- user-defined functions (what an application developer writes) ---------
 
 // One input unit is a record with a value in [0, 32); emit (bucket, 1).
-DEVICE void bucket_emit(psf::pattern::ReductionObject* obj, const void* input,
-                        std::size_t /*index*/, const void* /*parameter*/) {
-  const auto value = *static_cast<const std::uint32_t*>(input);
-  const std::uint64_t one = 1;
-  obj->insert(value % 32, &one);
-}
+constexpr auto bucket_emit = [](psf::pattern::TypedObject<std::uint64_t>& obj,
+                                const std::uint32_t& value,
+                                std::size_t /*index*/,
+                                const void* /*parameter*/) {
+  obj.insert(value % 32, 1);
+};
 
-DEVICE void count_reduce(void* dst, const void* src) {
-  *static_cast<std::uint64_t*>(dst) += *static_cast<const std::uint64_t*>(src);
-}
+constexpr auto count_reduce = [](std::uint64_t& dst,
+                                 const std::uint64_t& src) { dst += src; };
 
 }  // namespace
 
@@ -50,26 +50,29 @@ int main(int argc, char** argv) {
 
     psf::pattern::RuntimeEnv env(comm, options);   // Runtime_env env;
     PSF_CHECK(env.init().is_ok());                 // env.init();
-    auto* gr = env.get_GR();                       // env.get_GR();
+    psf::pattern::TypedGReduce<std::uint32_t, std::uint64_t> gr(env);
 
-    gr->set_emit_func(bucket_emit);
-    gr->set_reduce_func(count_reduce);
-    gr->set_input(records.data(), sizeof(std::uint32_t), records.size());
-    gr->configure_object(64, sizeof(std::uint64_t));
-    PSF_CHECK(gr->start().is_ok());
+    gr.set_emit(bucket_emit);
+    gr.set_reduce(count_reduce);
+    gr.set_input(records);
+    gr.configure(64);
+    PSF_CHECK(gr.run(1).is_ok());  // local pass + global tree combine
 
-    const auto& global = gr->get_global_reduction();
     if (comm.rank() == 0) {
       std::printf("bucket histogram over %zu records (%d nodes, CPU+%d GPU "
                   "per node):\n",
                   records.size(), nodes, gpus);
       std::uint64_t total = 0;
+      std::size_t distinct = 0;
       for (std::uint64_t bucket = 0; bucket < 32; ++bucket) {
         std::uint64_t count = 0;
-        if (global.lookup(bucket, &count)) total += count;
+        if (gr.lookup_global(bucket, &count)) {
+          total += count;
+          ++distinct;
+        }
       }
       std::printf("  distinct buckets: %zu, records accounted: %llu\n",
-                  global.size(), static_cast<unsigned long long>(total));
+                  distinct, static_cast<unsigned long long>(total));
       std::printf("  simulated execution time: %.3f ms\n",
                   comm.timeline().now() * 1e3);
       std::printf("  devices used per node: %s\n",

@@ -1,6 +1,7 @@
 #include "apps/kmeans.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -12,111 +13,101 @@ namespace psf::apps::kmeans {
 namespace {
 
 // [psf-user-code-begin]
-/// Emit: assign one point to its nearest center and accumulate it there
-/// (the paper's gr_emit_fp for Kmeans).
-DEVICE void kmeans_emit(pattern::ReductionObject* obj, const void* input,
-                        std::size_t /*index*/, const void* parameter) {
-  const auto* param = static_cast<const EmitParameter*>(parameter);
-  const auto* point = static_cast<const float*>(input);
-  int best = 0;
-  double best_dist = 0.0;
-  for (int c = 0; c < param->num_clusters; ++c) {
+/// One input unit: a point's kDims coordinates, laid out exactly like
+/// kDims consecutive floats of the caller's flat buffer.
+using Point = std::array<float, kDims>;
+static_assert(sizeof(Point) == kDims * sizeof(float));
+using KmeansGR = pattern::TypedGReduce<Point, ClusterAccum>;
+
+/// A point's nearest center and its squared distance to it.
+struct Nearest {
+  int center = 0;
+  double dist = 0.0;
+};
+
+/// Shared by every emit, so all of them stage the exact same doubles.
+inline Nearest nearest_center(const Point& point,
+                              const EmitParameter& param) {
+  Nearest best;
+  for (int c = 0; c < param.num_clusters; ++c) {
     double dist = 0.0;
     for (int d = 0; d < kDims; ++d) {
       const double diff =
-          static_cast<double>(point[d]) - param->centers[c * kDims + d];
+          static_cast<double>(point[d]) - param.centers[c * kDims + d];
       dist += diff * diff;
     }
-    if (c == 0 || dist < best_dist) {
-      best_dist = dist;
-      best = c;
-    }
+    if (c == 0 || dist < best.dist) best = {c, dist};
   }
+  return best;
+}
+
+/// Accumulate the point into its cluster's sums.
+void add_to_cluster(pattern::TypedObject<ClusterAccum>& obj,
+                    const Point& point, int center) {
   ClusterAccum accum;
   for (int d = 0; d < kDims; ++d) accum.sum[d] = point[d];
   accum.count = 1;
-  obj->insert(static_cast<std::uint64_t>(best), &accum);
+  obj.insert(static_cast<std::uint64_t>(center), accum);
 }
+
+/// Emit: assign one point to its nearest center and accumulate it there
+/// (the paper's gr_emit_fp for Kmeans).
+constexpr auto kmeans_emit = [](pattern::TypedObject<ClusterAccum>& obj,
+                                const Point& point, std::size_t /*index*/,
+                                const EmitParameter* param) {
+  add_to_cluster(obj, point, nearest_center(point, *param).center);
+};
 
 /// Reduce: element-wise accumulation of cluster sums (gr_reduce_fp).
-DEVICE void kmeans_reduce(void* dst, const void* src) {
-  auto* a = static_cast<ClusterAccum*>(dst);
-  const auto* b = static_cast<const ClusterAccum*>(src);
-  for (int d = 0; d < kDims; ++d) a->sum[d] += b->sum[d];
-  a->count += b->count;
-}
+constexpr auto kmeans_reduce = [](ClusterAccum& a, const ClusterAccum& b) {
+  for (int d = 0; d < kDims; ++d) a.sum[d] += b.sum[d];
+  a.count += b.count;
+};
 // [psf-user-code-end]
 
-// The fused-variant helpers below are composition-layer demo code (beyond
+// The fused-variant emits below are composition-layer demo code (beyond
 // the paper), so they sit outside the Figure 6 LoC markers: the counted
 // user code is the paper-parity port alone.
 
-/// Distance of one point to its nearest center (shared by the fused and
-/// inertia-only emits, so both stage the exact same doubles).
-DEVICE double kmeans_best_dist(const float* point,
-                               const EmitParameter* param, int* best_out) {
-  int best = 0;
-  double best_dist = 0.0;
-  for (int c = 0; c < param->num_clusters; ++c) {
-    double dist = 0.0;
-    for (int d = 0; d < kDims; ++d) {
-      const double diff =
-          static_cast<double>(point[d]) - param->centers[c * kDims + d];
-      dist += diff * diff;
-    }
-    if (c == 0 || dist < best_dist) {
-      best_dist = dist;
-      best = c;
-    }
-  }
-  *best_out = best;
-  return best_dist;
+/// The point's inertia contribution, staged under the reserved key
+/// `num_clusters` with the squared distance in sum[0].
+void add_inertia(pattern::TypedObject<ClusterAccum>& obj, double dist,
+                 const EmitParameter& param) {
+  ClusterAccum inertia;
+  inertia.sum[0] = dist;
+  inertia.count = 1;
+  obj.insert(static_cast<std::uint64_t>(param.num_clusters), inertia);
 }
 
 /// Fused emit: one pass accumulates the cluster assignment AND the point's
-/// inertia contribution (staged under the reserved key `num_clusters` with
-/// the distance in sum[0]) — the second emit pass the unfused sequence pays
+/// inertia contribution — the second emit pass the unfused sequence pays
 /// for disappears.
-DEVICE void kmeans_emit_fused(pattern::ReductionObject* obj,
-                              const void* input, std::size_t /*index*/,
-                              const void* parameter) {
-  const auto* param = static_cast<const EmitParameter*>(parameter);
-  const auto* point = static_cast<const float*>(input);
-  int best = 0;
-  const double best_dist = kmeans_best_dist(point, param, &best);
-  ClusterAccum accum;
-  for (int d = 0; d < kDims; ++d) accum.sum[d] = point[d];
-  accum.count = 1;
-  obj->insert(static_cast<std::uint64_t>(best), &accum);
-  ClusterAccum inertia;
-  inertia.sum[0] = best_dist;
-  inertia.count = 1;
-  obj->insert(static_cast<std::uint64_t>(param->num_clusters), &inertia);
-}
+constexpr auto kmeans_emit_fused = [](pattern::TypedObject<ClusterAccum>& obj,
+                                      const Point& point,
+                                      std::size_t /*index*/,
+                                      const EmitParameter* param) {
+  const Nearest nearest = nearest_center(point, *param);
+  add_to_cluster(obj, point, nearest.center);
+  add_inertia(obj, nearest.dist, *param);
+};
 
 /// Inertia-only emit for the unfused reference: a full second pass over the
 /// points against the SAME (pre-update) centers the assignment pass used.
-DEVICE void kmeans_emit_inertia(pattern::ReductionObject* obj,
-                                const void* input, std::size_t /*index*/,
-                                const void* parameter) {
-  const auto* param = static_cast<const EmitParameter*>(parameter);
-  const auto* point = static_cast<const float*>(input);
-  int best = 0;
-  const double best_dist = kmeans_best_dist(point, param, &best);
-  ClusterAccum inertia;
-  inertia.sum[0] = best_dist;
-  inertia.count = 1;
-  obj->insert(static_cast<std::uint64_t>(param->num_clusters), &inertia);
-}
+constexpr auto kmeans_emit_inertia =
+    [](pattern::TypedObject<ClusterAccum>& obj, const Point& point,
+       std::size_t /*index*/, const EmitParameter* param) {
+      add_inertia(obj, nearest_center(point, *param).dist, *param);
+    };
 
 // [psf-user-code-begin]
-/// Recompute centers from a combined reduction object; clusters that lost
-/// all points keep their previous center.
-void centers_from_reduction(const pattern::ReductionObject& object,
-                            std::vector<double>& centers, int k) {
+/// Recompute centers from the combined reduction; clusters that lost all
+/// points keep their previous center. The first lookup after start() is
+/// the collective global combine.
+void centers_from_reduction(KmeansGR& gr, std::vector<double>& centers,
+                            int k) {
   for (int c = 0; c < k; ++c) {
     ClusterAccum accum;
-    if (object.lookup(static_cast<std::uint64_t>(c), &accum) &&
+    if (gr.lookup_global(static_cast<std::uint64_t>(c), &accum) &&
         accum.count > 0) {
       for (int d = 0; d < kDims; ++d) {
         centers[static_cast<std::size_t>(c) * kDims + d] =
@@ -124,6 +115,12 @@ void centers_from_reduction(const pattern::ReductionObject& object,
       }
     }
   }
+}
+
+/// The flat coordinate buffer viewed as points, one unit per kDims floats.
+std::span<const Point> as_points(std::span<const float> coordinates,
+                                 std::size_t num_points) {
+  return {reinterpret_cast<const Point*>(coordinates.data()), num_points};
 }
 
 }  // namespace
@@ -170,23 +167,21 @@ Result run_framework(minimpi::Communicator& comm,
                      std::span<const float> points) {
   pattern::RuntimeEnv env(comm, options);
   PSF_CHECK(env.init().is_ok());
-  auto* gr = env.get_GR();
+  KmeansGR gr(env);
 
   std::vector<double> centers = initial_centers(params, points);
   EmitParameter parameter{centers.data(), params.num_clusters};
 
-  gr->set_emit_func(kmeans_emit);
-  gr->set_reduce_func(kmeans_reduce);
-  gr->set_input(points.data(), sizeof(float) * kDims, params.num_points);
-  gr->set_parameter(&parameter);
-  gr->configure_object(static_cast<std::size_t>(params.num_clusters) * 2,
-                       sizeof(ClusterAccum));
+  gr.set_emit<EmitParameter>(kmeans_emit);
+  gr.set_reduce(kmeans_reduce);
+  gr.set_input(as_points(points, params.num_points));
+  gr.set_parameter(&parameter);
+  gr.configure(static_cast<std::size_t>(params.num_clusters) * 2);
 
   const double t0 = comm.timeline().now();
   for (int iteration = 0; iteration < params.iterations; ++iteration) {
-    PSF_CHECK(gr->start().is_ok());
-    const auto& global = gr->get_global_reduction();
-    centers_from_reduction(global, centers, params.num_clusters);
+    PSF_CHECK(gr.start().is_ok());
+    centers_from_reduction(gr, centers, params.num_clusters);
   }
   Result result;
   result.centers = std::move(centers);
@@ -206,56 +201,47 @@ MonitoredResult run_framework_monitored(minimpi::Communicator& comm,
                                         bool fused) {
   pattern::RuntimeEnv env(comm, options);
   PSF_CHECK(env.init().is_ok());
-  auto* gr = env.get_GR();
+  KmeansGR gr(env);
 
   std::vector<double> centers = initial_centers(params, points);
   EmitParameter parameter{centers.data(), params.num_clusters};
   const std::size_t k = static_cast<std::size_t>(params.num_clusters);
 
-  gr->set_reduce_func(kmeans_reduce);
-  gr->set_input(points.data(), sizeof(float) * kDims, params.num_points);
-  gr->set_parameter(&parameter);
+  gr.set_reduce(kmeans_reduce);
+  gr.set_input(as_points(points, params.num_points));
+  gr.set_parameter(&parameter);
   // One extra slot for the reserved inertia key; the capacity is the same
   // in both modes so the object layout (and GPU shared-memory localization
   // decision) — and therefore every staged byte — matches exactly.
-  gr->configure_object(k * 2 + 2, sizeof(ClusterAccum));
+  gr.configure(k * 2 + 2);
 
   MonitoredResult result;
   result.inertia.reserve(static_cast<std::size_t>(params.iterations));
-  const std::uint64_t inertia_key = static_cast<std::uint64_t>(k);
+  // Global inertia of the latest pass (0 when no point contributed).
+  const auto global_inertia = [&gr, key = static_cast<std::uint64_t>(k)] {
+    ClusterAccum inertia;
+    return gr.lookup_global(key, &inertia) ? inertia.sum[0] : 0.0;
+  };
 
   const double t0 = comm.timeline().now();
   for (int iteration = 0; iteration < params.iterations; ++iteration) {
     if (fused) {
       // One pass, one combine: assignments and inertia together.
-      gr->set_emit_func(kmeans_emit_fused);
-      PSF_CHECK(gr->start().is_ok());
-      const auto& global = gr->get_global_reduction();
-      ClusterAccum inertia;
-      if (global.lookup(inertia_key, &inertia)) {
-        result.inertia.push_back(inertia.sum[0]);
-      } else {
-        result.inertia.push_back(0.0);
-      }
-      centers_from_reduction(global, centers, params.num_clusters);
+      gr.set_emit<EmitParameter>(kmeans_emit_fused);
+      PSF_CHECK(gr.start().is_ok());
+      result.inertia.push_back(global_inertia());
+      centers_from_reduction(gr, centers, params.num_clusters);
     } else {
       // Reference sequence: assignment pass + combine, then a full second
       // pass + combine for the inertia — against the SAME pre-update
       // centers, so the values match the fused path bit for bit.
-      gr->set_emit_func(kmeans_emit);
-      PSF_CHECK(gr->start().is_ok());
+      gr.set_emit<EmitParameter>(kmeans_emit);
+      PSF_CHECK(gr.start().is_ok());
       std::vector<double> new_centers = centers;
-      centers_from_reduction(gr->get_global_reduction(), new_centers,
-                             params.num_clusters);
-      gr->set_emit_func(kmeans_emit_inertia);
-      PSF_CHECK(gr->start().is_ok());
-      const auto& global = gr->get_global_reduction();
-      ClusterAccum inertia;
-      if (global.lookup(inertia_key, &inertia)) {
-        result.inertia.push_back(inertia.sum[0]);
-      } else {
-        result.inertia.push_back(0.0);
-      }
+      centers_from_reduction(gr, new_centers, params.num_clusters);
+      gr.set_emit<EmitParameter>(kmeans_emit_inertia);
+      PSF_CHECK(gr.start().is_ok());
+      result.inertia.push_back(global_inertia());
       // In-place so `parameter` keeps pointing at valid storage.
       std::copy(new_centers.begin(), new_centers.end(), centers.begin());
     }

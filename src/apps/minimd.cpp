@@ -38,11 +38,9 @@ inline bool lj_force(const Atom& a, const Atom& b, double cutoff2,
   return true;
 }
 
-DEVICE void lj_cmpt(pattern::ReductionObject* obj,
-                    const pattern::EdgeView& edge, const void* /*edge_data*/,
-                    const void* node_data, const void* parameter) {
-  const auto* param = static_cast<const ForceParameter*>(parameter);
-  const auto* atoms = static_cast<const Atom*>(node_data);
+constexpr auto lj_cmpt = [](pattern::TypedObject<Force>& obj,
+                            const pattern::EdgeView& edge, const Atom* atoms,
+                            const ForceParameter* param) {
   double f[3];
   if (!lj_force(atoms[edge.node[0]], atoms[edge.node[1]], param->cutoff2,
                 f)) {
@@ -51,43 +49,35 @@ DEVICE void lj_cmpt(pattern::ReductionObject* obj,
   Force force;
   if (edge.update[0]) {
     for (int d = 0; d < 3; ++d) force.f[d] = f[d];
-    obj->insert(edge.node[0], &force);
+    obj.insert(edge.node[0], force);
   }
   if (edge.update[1]) {
     for (int d = 0; d < 3; ++d) force.f[d] = -f[d];
-    obj->insert(edge.node[1], &force);
+    obj.insert(edge.node[1], force);
   }
-}
+};
 
-DEVICE void force_reduce(void* dst, const void* src) {
-  auto* a = static_cast<Force*>(dst);
-  const auto* b = static_cast<const Force*>(src);
-  for (int d = 0; d < 3; ++d) a->f[d] += b->f[d];
-}
+constexpr auto force_reduce = [](Force& a, const Force& b) {
+  for (int d = 0; d < 3; ++d) a.f[d] += b.f[d];
+};
 
-DEVICE void integrate(void* node_data, const void* value,
-                      const void* parameter) {
-  const auto* param = static_cast<const ForceParameter*>(parameter);
-  auto* atom = static_cast<Atom*>(node_data);
-  if (value != nullptr) {
-    const auto* force = static_cast<const Force*>(value);
-    for (int d = 0; d < 3; ++d) atom->vel[d] += force->f[d] * param->dt;
+constexpr auto integrate = [](Atom& atom, const Force* force,
+                              const ForceParameter* param) {
+  if (force != nullptr) {
+    for (int d = 0; d < 3; ++d) atom.vel[d] += force->f[d] * param->dt;
   }
-  for (int d = 0; d < 3; ++d) atom->pos[d] += atom->vel[d] * param->dt;
-}
+  for (int d = 0; d < 3; ++d) atom.pos[d] += atom.vel[d] * param->dt;
+};
 
-DEVICE void ke_emit(pattern::ReductionObject* obj, const void* input,
-                    std::size_t /*index*/, const void* /*parameter*/) {
-  const auto* atom = static_cast<const Atom*>(input);
+constexpr auto ke_emit = [](pattern::TypedObject<double>& obj,
+                            const Atom& atom, std::size_t /*index*/,
+                            const void* /*parameter*/) {
   double ke = 0.0;
-  for (int d = 0; d < 3; ++d) ke += atom->vel[d] * atom->vel[d];
-  ke *= 0.5;
-  obj->insert(0, &ke);
-}
+  for (int d = 0; d < 3; ++d) ke += atom.vel[d] * atom.vel[d];
+  obj.insert(0, 0.5 * ke);
+};
 
-DEVICE void ke_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto ke_reduce = [](double& a, const double& b) { a += b; };
 
 }  // namespace
 // [psf-user-code-end]
@@ -209,15 +199,14 @@ Result run_framework(minimpi::Communicator& comm,
   const double t0 = comm.timeline().now();
 
   ForceParameter parameter{params.cutoff * params.cutoff, params.dt};
-  auto* ir = env.get_IR();
-  ir->set_edge_comp_func(lj_cmpt);
-  ir->set_node_reduc_func(force_reduce);
-  ir->set_nodes(atoms.data(), sizeof(Atom), atoms.size());
-  ir->configure_value(sizeof(Force));
-  ir->set_parameter(&parameter);
+  pattern::TypedIReduce<Atom, Force> ir(env);
+  ir.set_edge_compute<ForceParameter>(lj_cmpt);
+  ir.set_node_reduce(force_reduce);
+  ir.set_nodes(atoms);
+  ir.set_parameter(&parameter);
 
   std::vector<pattern::Edge> edges = build_neighbor_list(params, atoms);
-  ir->set_edges(edges.data(), edges.size(), nullptr, 0);
+  ir.set_edges(edges);
 
   Result result;
   double after_first = t0;
@@ -228,10 +217,10 @@ Result run_framework(minimpi::Communicator& comm,
       // list and re-run the id exchange (protocol steps 1-4).
       comm.barrier();
       edges = build_neighbor_list(params, atoms);
-      ir->reset_edges(edges.data(), edges.size(), nullptr, 0);
+      ir.reset_edges(edges);
     }
-    PSF_CHECK(ir->start().is_ok());
-    ir->update_nodedata(integrate);
+    PSF_CHECK(ir.start().is_ok());
+    ir.update_nodedata<ForceParameter>(integrate);
     if (iteration == 0) after_first = comm.timeline().now();
   }
   result.last_edge_count = edges.size();
@@ -242,14 +231,13 @@ Result run_framework(minimpi::Communicator& comm,
   comm.barrier();
 
   // Energy kernels: generalized reduction over the atoms.
-  auto* gr = env.get_GR();
-  gr->set_emit_func(ke_emit);
-  gr->set_reduce_func(ke_reduce);
-  gr->set_input(atoms.data(), sizeof(Atom), atoms.size());
-  gr->set_parameter(nullptr);
-  gr->configure_object(4, sizeof(double));
-  PSF_CHECK(gr->start().is_ok());
-  PSF_CHECK(gr->get_global_reduction().lookup(0, &result.kinetic_energy));
+  pattern::TypedGReduce<Atom, double> gr(env);
+  gr.set_emit(ke_emit);
+  gr.set_reduce(ke_reduce);
+  gr.set_input(atoms);
+  gr.configure(4);
+  PSF_CHECK(gr.start().is_ok());
+  PSF_CHECK(gr.lookup_global(0, &result.kinetic_energy));
   result.temperature =
       2.0 * result.kinetic_energy / (3.0 * static_cast<double>(atoms.size()));
 

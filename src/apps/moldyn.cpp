@@ -29,12 +29,10 @@ inline bool pair_force(const Molecule& a, const Molecule& b, double cutoff,
 
 /// CF edge compute (paper Listing 1, force_cmpt): one interaction pair;
 /// inserts equal and opposite forces for the endpoints this partition owns.
-DEVICE void force_cmpt(pattern::ReductionObject* obj,
-                       const pattern::EdgeView& edge,
-                       const void* /*edge_data*/, const void* node_data,
-                       const void* parameter) {
-  const auto* param = static_cast<const ForceParameter*>(parameter);
-  const auto* molecules = static_cast<const Molecule*>(node_data);
+constexpr auto force_cmpt = [](pattern::TypedObject<Force>& obj,
+                               const pattern::EdgeView& edge,
+                               const Molecule* molecules,
+                               const ForceParameter* param) {
   double f[3];
   if (!pair_force(molecules[edge.node[0]], molecules[edge.node[1]],
                   param->cutoff, f)) {
@@ -43,46 +41,38 @@ DEVICE void force_cmpt(pattern::ReductionObject* obj,
   Force force;
   if (edge.update[0]) {
     for (int d = 0; d < 3; ++d) force.f[d] = f[d];
-    obj->insert(edge.node[0], &force);
+    obj.insert(edge.node[0], force);
   }
   if (edge.update[1]) {
     for (int d = 0; d < 3; ++d) force.f[d] = -f[d];
-    obj->insert(edge.node[1], &force);
+    obj.insert(edge.node[1], force);
   }
-}
+};
 
 /// CF node reduce (force_reduce): plain accumulation.
-DEVICE void force_reduce(void* dst, const void* src) {
-  auto* a = static_cast<Force*>(dst);
-  const auto* b = static_cast<const Force*>(src);
-  for (int d = 0; d < 3; ++d) a->f[d] += b->f[d];
-}
+constexpr auto force_reduce = [](Force& a, const Force& b) {
+  for (int d = 0; d < 3; ++d) a.f[d] += b.f[d];
+};
 
 /// Velocity/position integration applied per node by update_nodedata.
-DEVICE void integrate(void* node_data, const void* value,
-                      const void* parameter) {
-  const auto* param = static_cast<const ForceParameter*>(parameter);
-  auto* molecule = static_cast<Molecule*>(node_data);
-  if (value != nullptr) {
-    const auto* force = static_cast<const Force*>(value);
-    for (int d = 0; d < 3; ++d) molecule->vel[d] += force->f[d] * param->dt;
+constexpr auto integrate = [](Molecule& molecule, const Force* force,
+                              const ForceParameter* param) {
+  if (force != nullptr) {
+    for (int d = 0; d < 3; ++d) molecule.vel[d] += force->f[d] * param->dt;
   }
-  for (int d = 0; d < 3; ++d) molecule->pos[d] += molecule->vel[d] * param->dt;
-}
+  for (int d = 0; d < 3; ++d) molecule.pos[d] += molecule.vel[d] * param->dt;
+};
 
 /// KE emit (ke_emit): one molecule's kinetic energy into key 0.
-DEVICE void ke_emit(pattern::ReductionObject* obj, const void* input,
-                    std::size_t /*index*/, const void* /*parameter*/) {
-  const auto* molecule = static_cast<const Molecule*>(input);
+constexpr auto ke_emit = [](pattern::TypedObject<double>& obj,
+                            const Molecule& molecule, std::size_t /*index*/,
+                            const void* /*parameter*/) {
   double ke = 0.0;
-  for (int d = 0; d < 3; ++d) ke += molecule->vel[d] * molecule->vel[d];
-  ke *= 0.5;
-  obj->insert(0, &ke);
-}
+  for (int d = 0; d < 3; ++d) ke += molecule.vel[d] * molecule.vel[d];
+  obj.insert(0, 0.5 * ke);
+};
 
-DEVICE void ke_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto ke_reduce = [](double& a, const double& b) { a += b; };
 
 /// AV accumulator and functions (av_emit / av_reduce).
 struct VelAccum {
@@ -90,21 +80,19 @@ struct VelAccum {
   double count = 0;
 };
 
-DEVICE void av_emit(pattern::ReductionObject* obj, const void* input,
-                    std::size_t /*index*/, const void* /*parameter*/) {
-  const auto* molecule = static_cast<const Molecule*>(input);
+constexpr auto av_emit = [](pattern::TypedObject<VelAccum>& obj,
+                            const Molecule& molecule, std::size_t /*index*/,
+                            const void* /*parameter*/) {
   VelAccum accum;
-  for (int d = 0; d < 3; ++d) accum.sum[d] = molecule->vel[d];
+  for (int d = 0; d < 3; ++d) accum.sum[d] = molecule.vel[d];
   accum.count = 1;
-  obj->insert(0, &accum);
-}
+  obj.insert(0, accum);
+};
 
-DEVICE void av_reduce(void* dst, const void* src) {
-  auto* a = static_cast<VelAccum*>(dst);
-  const auto* b = static_cast<const VelAccum*>(src);
-  for (int d = 0; d < 3; ++d) a->sum[d] += b->sum[d];
-  a->count += b->count;
-}
+constexpr auto av_reduce = [](VelAccum& a, const VelAccum& b) {
+  for (int d = 0; d < 3; ++d) a.sum[d] += b.sum[d];
+  a.count += b.count;
+};
 
 }  // namespace
 // [psf-user-code-end]
@@ -241,18 +229,17 @@ Result run_framework(minimpi::Communicator& comm,
   const double t0 = comm.timeline().now();
 
   // --- Compute Force (CF): irregular reduction, one start() per time step.
-  auto* ir = env.get_IR();
+  pattern::TypedIReduce<Molecule, Force> ir(env);
   ForceParameter parameter{params.cutoff, params.dt};
-  ir->set_edge_comp_func(force_cmpt);
-  ir->set_node_reduc_func(force_reduce);
-  ir->set_nodes(molecules.data(), sizeof(Molecule), molecules.size());
-  ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-  ir->configure_value(sizeof(Force));
-  ir->set_parameter(&parameter);
+  ir.set_edge_compute<ForceParameter>(force_cmpt);
+  ir.set_node_reduce(force_reduce);
+  ir.set_nodes(molecules);
+  ir.set_edges(edges);
+  ir.set_parameter(&parameter);
   double after_first = t0;
   for (int iteration = 0; iteration < params.iterations; ++iteration) {
-    PSF_CHECK(ir->start().is_ok());
-    ir->update_nodedata(integrate);
+    PSF_CHECK(ir.start().is_ok());
+    ir.update_nodedata<ForceParameter>(integrate);
     if (iteration == 0) after_first = comm.timeline().now();
   }
   const double cf_end = comm.timeline().now();
@@ -261,23 +248,24 @@ Result run_framework(minimpi::Communicator& comm,
   comm.barrier();
 
   // --- Kinetic Energy (KE): generalized reduction over the molecules.
-  auto* gr = env.get_GR();
-  gr->set_emit_func(ke_emit);
-  gr->set_reduce_func(ke_reduce);
-  gr->set_input(molecules.data(), sizeof(Molecule), molecules.size());
-  gr->set_parameter(nullptr);
-  gr->configure_object(4, sizeof(double));
-  PSF_CHECK(gr->start().is_ok());
+  pattern::TypedGReduce<Molecule, double> ke(env);
+  ke.set_emit(ke_emit);
+  ke.set_reduce(ke_reduce);
+  ke.set_input(molecules);
+  ke.configure(4);
+  PSF_CHECK(ke.start().is_ok());
   Result result;
-  PSF_CHECK(gr->get_global_reduction().lookup(0, &result.kinetic_energy));
+  PSF_CHECK(ke.lookup_global(0, &result.kinetic_energy));
 
-  // --- Average Velocity (AV): the same runtime instance, reconfigured.
-  gr->set_emit_func(av_emit);
-  gr->set_reduce_func(av_reduce);
-  gr->configure_object(4, sizeof(VelAccum));
-  PSF_CHECK(gr->start().is_ok());
+  // --- Average Velocity (AV): the same runtime instance, reconfigured for
+  // a new value type; the input carries over.
+  pattern::TypedGReduce<Molecule, VelAccum> av(env);
+  av.set_emit(av_emit);
+  av.set_reduce(av_reduce);
+  av.configure(4);
+  PSF_CHECK(av.start().is_ok());
   VelAccum accum;
-  PSF_CHECK(gr->get_global_reduction().lookup(0, &accum));
+  PSF_CHECK(av.lookup_global(0, &accum));
   for (int d = 0; d < 3; ++d) {
     result.avg_velocity[d] = accum.sum[d] / accum.count;
   }

@@ -19,32 +19,23 @@ struct RankParameter {
 /// Edge compute: a directed link (u, v) pushes rank[u]/out_degree[u] to v.
 /// Only the destination endpoint accumulates — the update flags express
 /// directed semantics naturally.
-DEVICE void contribute(pattern::ReductionObject* obj,
-                       const pattern::EdgeView& edge,
-                       const void* /*edge_data*/, const void* node_data,
-                       const void* /*parameter*/) {
+constexpr auto contribute = [](pattern::TypedObject<double>& obj,
+                               const pattern::EdgeView& edge,
+                               const Page* pages, const void* /*parameter*/) {
   if (!edge.update[1]) return;  // destination owned elsewhere
-  const auto* pages = static_cast<const Page*>(node_data);
   const Page& source = pages[edge.node[0]];
   if (source.out_degree <= 0.0) return;
-  const double share = source.rank / source.out_degree;
-  obj->insert(edge.node[1], &share);
-}
+  obj.insert(edge.node[1], source.rank / source.out_degree);
+};
 
-DEVICE void rank_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto rank_reduce = [](double& a, const double& b) { a += b; };
 
 /// Damping update: rank' = (1-d)/N + d * accumulated contributions.
-DEVICE void apply_damping(void* node_data, const void* value,
-                          const void* parameter) {
-  const auto* param = static_cast<const RankParameter*>(parameter);
-  auto* page = static_cast<Page*>(node_data);
-  const double incoming =
-      value != nullptr ? *static_cast<const double*>(value) : 0.0;
-  page->rank =
-      (1.0 - param->damping) / param->num_pages + param->damping * incoming;
-}
+constexpr auto apply_damping = [](Page& page, const double* incoming,
+                                  const RankParameter* param) {
+  page.rank = (1.0 - param->damping) / param->num_pages +
+              param->damping * (incoming != nullptr ? *incoming : 0.0);
+};
 // [psf-user-code-end]
 
 }  // namespace
@@ -90,17 +81,16 @@ Result run_framework(minimpi::Communicator& comm,
 
   RankParameter parameter{params.damping,
                           static_cast<double>(params.num_pages)};
-  auto* ir = env.get_IR();
-  ir->set_edge_comp_func(contribute);
-  ir->set_node_reduc_func(rank_reduce);
-  ir->set_nodes(pages.data(), sizeof(Page), pages.size());
-  ir->set_edges(links.data(), links.size(), nullptr, 0);
-  ir->configure_value(sizeof(double));
-  ir->set_parameter(&parameter);
+  pattern::TypedIReduce<Page, double> ir(env);
+  ir.set_edge_compute(contribute);
+  ir.set_node_reduce(rank_reduce);
+  ir.set_nodes(pages);
+  ir.set_edges(links);
+  ir.set_parameter(&parameter);
 
   for (int iteration = 0; iteration < params.iterations; ++iteration) {
-    PSF_CHECK(ir->start().is_ok());
-    ir->update_nodedata(apply_damping);
+    PSF_CHECK(ir.start().is_ok());
+    ir.update_nodedata<RankParameter>(apply_damping);
   }
   comm.barrier();
 

@@ -401,5 +401,6 @@ static_assert(Pattern<TypedStencilReduce<double, 3, double>>);
 static_assert(Pattern<TypedStencil<double, 2>>);
 static_assert(Pattern<TypedGReduce<std::uint32_t, double>>);
 static_assert(Pattern<TypedIReduce<double, double>>);
+static_assert(Pattern<TypedIReduce<double, double, float>>);
 
 }  // namespace psf::pattern

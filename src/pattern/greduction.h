@@ -21,7 +21,6 @@
 #include "devsim/device.h"
 #include "pattern/reduction_object.h"
 #include "pattern/scheduler.h"
-#include "support/compat.h"
 #include "support/error.h"
 
 namespace psf::minimpi {
@@ -59,19 +58,11 @@ class GReductionRuntime {
 
   // --- configuration --------------------------------------------------------
 
-  PSF_DEPRECATED(
-      "raw emit registration is deprecated; use psf::pattern::TypedGReduce "
-      "(pattern/typed.h) or the composition facades in pattern/compose.h")
+  /// Emit and reduce function pointers: the lowering target of
+  /// TypedGReduce (pattern/typed.h), which applications use to register
+  /// typed, captureless callables.
   void set_emit_func(GrEmitFn emit) { emit_ = emit; }
-  PSF_DEPRECATED(
-      "raw reduce registration is deprecated; use psf::pattern::TypedGReduce "
-      "(pattern/typed.h) or the composition facades in pattern/compose.h")
   void set_reduce_func(ReduceFn reduce) { reduce_ = reduce; }
-  /// Paper spelling (Listing 2 uses set_reduc_func).
-  PSF_DEPRECATED(
-      "raw reduce registration is deprecated; use psf::pattern::TypedGReduce "
-      "(pattern/typed.h) or the composition facades in pattern/compose.h")
-  void set_reduc_func(ReduceFn reduce) { reduce_ = reduce; }
 
   /// The global input: `num_units` units of `unit_bytes` each, contiguous at
   /// `data`. Every process sees the full input (the simulated shared file

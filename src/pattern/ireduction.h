@@ -20,7 +20,6 @@
 #include "pattern/partition.h"
 #include "pattern/reduction_object.h"
 #include "pattern/scheduler.h"
-#include "support/compat.h"
 #include "support/error.h"
 
 namespace psf::pattern {
@@ -66,13 +65,10 @@ class IReductionRuntime {
 
   // --- configuration --------------------------------------------------------
 
-  PSF_DEPRECATED(
-      "raw edge-compute registration is deprecated; use "
-      "psf::pattern::TypedIReduce (pattern/typed.h)")
+  /// Edge-compute and node-reduce function pointers: the lowering target of
+  /// TypedIReduce (pattern/typed.h), which applications use to register
+  /// typed, captureless callables.
   void set_edge_comp_func(IrEdgeComputeFn fn) { edge_compute_ = fn; }
-  PSF_DEPRECATED(
-      "raw node-reduce registration is deprecated; use "
-      "psf::pattern::TypedIReduce (pattern/typed.h)")
   void set_node_reduc_func(ReduceFn fn) { node_reduce_ = fn; }
 
   /// Global node array: `num_nodes` records of `node_bytes` each. The

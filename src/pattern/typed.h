@@ -1,13 +1,14 @@
 // PSF — Pattern Specification Framework
-// Typed convenience layer over the C-style pattern APIs.
+// Typed pattern facades: the one way to write each pattern.
 //
-// The paper's interface is C-style (void* units, function pointers with
-// opaque parameter blocks) — faithful, but easy to misuse. These wrappers
-// add compile-time typing for the common case without touching the
-// runtimes: a thin, zero-overhead shim that fills in sizes and casts.
+// The runtimes keep the paper's C-style interface (void* units, function
+// pointers with opaque parameter blocks, Table I). Applications write typed,
+// captureless callables instead; each facade lowers them to those function
+// pointers at compile time, filling in sizes and casts, so there is no
+// per-call dispatch beyond the paper's own.
 //
-//   psf::pattern::TypedGR<Point, Accum> gr(env);
-//   gr.set_emit([](auto& obj, const Point& p, std::size_t i) {
+//   psf::pattern::TypedGReduce<Point, Accum> gr(env);
+//   gr.set_emit([](auto& obj, const Point& p, std::size_t i, const void*) {
 //     obj.insert(key_of(p), Accum{...});
 //   });
 //
@@ -33,9 +34,12 @@ template <typename Value>
   requires std::is_trivially_copyable_v<Value>
 class TypedObject {
  public:
+  // Built on every lowered callback call, so the check is a plain
+  // PSF_CHECK, whose failure path is small enough to inline there (a
+  // PSF_CHECK_MSG message stream kept the constructor out of line).
   explicit TypedObject(ReductionObject& object) : object_(&object) {
-    PSF_CHECK_MSG(object.value_size() == sizeof(Value),
-                  "typed view with mismatched value size");
+    PSF_CHECK(object.value_size() == sizeof(Value) &&
+              "typed view with mismatched value size");
   }
 
   void insert(std::uint64_t key, const Value& value) {
@@ -57,43 +61,32 @@ class TypedObject {
 template <typename Unit, typename Value>
   requires std::is_trivially_copyable_v<Unit> &&
            std::is_trivially_copyable_v<Value>
-class TypedGR {
+class TypedGReduce {
  public:
-  /// Typed emit signature: (object, unit, global index, parameter).
-  template <typename Parameter>
-  using EmitFn = void (*)(TypedObject<Value>&, const Unit&, std::size_t,
-                          const Parameter*);
-  using ReduceTypedFn = void (*)(Value&, const Value&);
+  explicit TypedGReduce(RuntimeEnv& env) : runtime_(env.get_GR()) {}
 
-  explicit TypedGR(RuntimeEnv& env) : runtime_(env.get_GR()) {}
-
-  /// Register a captureless emit callable.
+  /// Register a captureless emit callable:
+  /// (object, unit, global index, parameter).
   template <typename Parameter = void, typename Fn>
   void set_emit(Fn) {
     static_assert(std::is_empty_v<Fn>,
                   "emit callables must be captureless (like CUDA kernels); "
                   "pass state through set_parameter");
-    // The typed facade is the sanctioned caller of the raw setter.
-    PSF_SUPPRESS_DEPRECATED_BEGIN
-    runtime_->set_emit_func(
-        [](ReductionObject* obj, const void* input, std::size_t index,
-           const void* parameter) {
-          TypedObject<Value> typed(*obj);
-          Fn{}(typed, *static_cast<const Unit*>(input), index,
-               static_cast<const Parameter*>(parameter));
-        });
-    PSF_SUPPRESS_DEPRECATED_END
+    runtime_->set_emit_func([](ReductionObject* obj, const void* input,
+                               std::size_t index, const void* parameter) {
+      TypedObject<Value> typed(*obj);
+      Fn{}(typed, *static_cast<const Unit*>(input), index,
+           static_cast<const Parameter*>(parameter));
+    });
   }
 
-  /// Register a captureless reduce callable.
+  /// Register a captureless reduce callable: (dst, src).
   template <typename Fn>
   void set_reduce(Fn) {
     static_assert(std::is_empty_v<Fn>, "reduce callables must be captureless");
-    PSF_SUPPRESS_DEPRECATED_BEGIN
     runtime_->set_reduce_func([](void* dst, const void* src) {
       Fn{}(*static_cast<Value*>(dst), *static_cast<const Value*>(src));
     });
-    PSF_SUPPRESS_DEPRECATED_END
   }
 
   void set_input(std::span<const Unit> units) {
@@ -131,6 +124,8 @@ class TypedGR {
   [[nodiscard]] bool lookup_local(std::uint64_t key, Value* out) const {
     return runtime_->get_local_reduction().lookup(key, out);
   }
+  /// Collective on the first call after start(): combines every rank's
+  /// object (binary tree) and broadcasts it; later calls read that result.
   [[nodiscard]] bool lookup_global(std::uint64_t key, Value* out) {
     return runtime_->get_global_reduction().lookup(key, out);
   }
@@ -142,39 +137,47 @@ class TypedGR {
 };
 
 /// Typed irregular reduction: Node is the node record, Value the per-node
-/// reduction value.
-template <typename Node, typename Value>
+/// reduction value, EdgeData the optional per-edge attribute record (void:
+/// edges carry no data).
+template <typename Node, typename Value, typename EdgeData = void>
   requires std::is_trivially_copyable_v<Node> &&
-           std::is_trivially_copyable_v<Value>
-class TypedIR {
+           std::is_trivially_copyable_v<Value> &&
+           (std::is_void_v<EdgeData> ||
+            std::is_trivially_copyable_v<EdgeData>)
+class TypedIReduce {
  public:
-  explicit TypedIR(RuntimeEnv& env) : runtime_(env.get_IR()) {}
+  explicit TypedIReduce(RuntimeEnv& env) : runtime_(env.get_IR()) {}
 
-  /// Captureless edge compute: (object, edge, nodes-array, parameter).
+  /// Captureless edge compute: (object, edge, nodes-array, parameter), or
+  /// (object, edge, edge data, nodes-array, parameter) when the facade has
+  /// an EdgeData type.
   template <typename Parameter = void, typename Fn>
   void set_edge_compute(Fn) {
     static_assert(std::is_empty_v<Fn>,
                   "edge callables must be captureless; use set_parameter");
-    PSF_SUPPRESS_DEPRECATED_BEGIN
     runtime_->set_edge_comp_func(
-        [](ReductionObject* obj, const EdgeView& edge,
-           const void* /*edge_data*/, const void* node_data,
-           const void* parameter) {
+        [](ReductionObject* obj, const EdgeView& edge, const void* edge_data,
+           const void* node_data, const void* parameter) {
           TypedObject<Value> typed(*obj);
-          Fn{}(typed, edge, static_cast<const Node*>(node_data),
-               static_cast<const Parameter*>(parameter));
+          const auto* nodes = static_cast<const Node*>(node_data);
+          const auto* typed_parameter =
+              static_cast<const Parameter*>(parameter);
+          if constexpr (std::is_void_v<EdgeData>) {
+            (void)edge_data;
+            Fn{}(typed, edge, nodes, typed_parameter);
+          } else {
+            Fn{}(typed, edge, *static_cast<const EdgeData*>(edge_data), nodes,
+                 typed_parameter);
+          }
         });
-    PSF_SUPPRESS_DEPRECATED_END
   }
 
   template <typename Fn>
   void set_node_reduce(Fn) {
     static_assert(std::is_empty_v<Fn>, "reduce callables must be captureless");
-    PSF_SUPPRESS_DEPRECATED_BEGIN
     runtime_->set_node_reduc_func([](void* dst, const void* src) {
       Fn{}(*static_cast<Value*>(dst), *static_cast<const Value*>(src));
     });
-    PSF_SUPPRESS_DEPRECATED_END
   }
 
   /// Captureless per-node update: (node, value-or-null, parameter).
@@ -193,16 +196,28 @@ class TypedIR {
     runtime_->configure_value(sizeof(Value));
   }
 
-  void set_edges(std::span<const Edge> edges) {
+  void set_edges(std::span<const Edge> edges)
+    requires std::is_void_v<EdgeData>
+  {
     runtime_->set_edges(edges.data(), edges.size(), nullptr, 0);
   }
 
-  template <typename EdgeData>
+  /// Edges plus one attribute record per edge, handed to the edge compute.
+  template <typename E = EdgeData>
+    requires(std::is_same_v<E, EdgeData> && !std::is_void_v<E>)
   void set_edges(std::span<const Edge> edges,
-                 std::span<const EdgeData> edge_data) {
+                 std::type_identity_t<std::span<const E>> edge_data) {
     PSF_CHECK(edge_data.size() == edges.size());
     runtime_->set_edges(edges.data(), edges.size(), edge_data.data(),
-                        sizeof(EdgeData));
+                        sizeof(E));
+  }
+
+  /// Connectivity changed (e.g. a rebuilt neighbor list): the next start()
+  /// redoes the partitioning and the id exchange, charged as a rebuild.
+  void reset_edges(std::span<const Edge> edges)
+    requires std::is_void_v<EdgeData>
+  {
+    runtime_->reset_edges(edges.data(), edges.size(), nullptr, 0);
   }
 
   template <typename Parameter>
@@ -363,9 +378,9 @@ void stencil_rows(const void* input, void* output, const int* offset,
 /// Typed stencil runtime for element type T and dimensionality N.
 template <typename T, int N>
   requires std::is_trivially_copyable_v<T> && (N >= 1 && N <= 3)
-class TypedST {
+class TypedStencil {
  public:
-  explicit TypedST(RuntimeEnv& env) : runtime_(env.get_ST()) {}
+  explicit TypedStencil(RuntimeEnv& env) : runtime_(env.get_ST()) {}
 
   /// Captureless stencil callable: (in view, out view, offset[N], param).
   template <typename Parameter = void, typename Fn>
@@ -416,18 +431,5 @@ class TypedST {
  private:
   StencilRuntime* runtime_;
 };
-
-/// Preferred name for the typed stencil runtime: grids are indexed through
-/// GridView as `in(y, x)`.
-template <typename T, int Dims>
-using TypedStencil = TypedST<T, Dims>;
-
-/// Preferred names for the typed reduction runtimes, completing the typed
-/// surface: all three patterns (TypedGReduce, TypedIReduce, TypedStencil)
-/// model the Pattern concept in pattern/compose.h and compose through it.
-template <typename Unit, typename Value>
-using TypedGReduce = TypedGR<Unit, Value>;
-template <typename Node, typename Value>
-using TypedIReduce = TypedIR<Node, Value>;
 
 }  // namespace psf::pattern

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "apps/heat3d.h"
@@ -22,9 +23,10 @@ struct Config {
 };
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
-  return "r" + std::to_string(info.param.ranks) +
-         (info.param.use_cpu ? "_cpu" : "_nocpu") + "_g" +
-         std::to_string(info.param.use_gpus);
+  std::ostringstream name;
+  name << 'r' << info.param.ranks << (info.param.use_cpu ? "_cpu" : "_nocpu")
+       << "_g" << info.param.use_gpus;
+  return name.str();
 }
 
 pattern::EnvOptions make_options(const Config& config,

@@ -34,17 +34,22 @@ TEST(ChaosPlan, ParsesServerClauses) {
   const fault::FaultPlan& parsed = plan.value();
   EXPECT_FALSE(parsed.empty());
   EXPECT_TRUE(parsed.has_server_chaos());
+  // Each spec is copied out once after its null check: comparing fields
+  // read through the getter again made g++ 12 warn -Wnull-dereference.
   ASSERT_NE(parsed.job_fail(), nullptr);
-  EXPECT_DOUBLE_EQ(parsed.job_fail()->p, 0.25);
-  EXPECT_EQ(parsed.job_fail()->seed, 7u);
+  const fault::JobFailSpec job_fail = *parsed.job_fail();
+  EXPECT_DOUBLE_EQ(job_fail.p, 0.25);
+  EXPECT_EQ(job_fail.seed, 7u);
   ASSERT_NE(parsed.runner_stall(), nullptr);
-  EXPECT_EQ(parsed.runner_stall()->ms, 5);
-  EXPECT_DOUBLE_EQ(parsed.runner_stall()->p, 0.5);
-  EXPECT_EQ(parsed.runner_stall()->seed, 11u);
+  const fault::RunnerStallSpec runner_stall = *parsed.runner_stall();
+  EXPECT_EQ(runner_stall.ms, 5);
+  EXPECT_DOUBLE_EQ(runner_stall.p, 0.5);
+  EXPECT_EQ(runner_stall.seed, 11u);
   ASSERT_NE(parsed.submit_burst(), nullptr);
-  EXPECT_EQ(parsed.submit_burst()->every, 10);
-  EXPECT_EQ(parsed.submit_burst()->count, 4);
-  EXPECT_EQ(parsed.submit_burst()->priority, -2);
+  const fault::SubmitBurstSpec submit_burst = *parsed.submit_burst();
+  EXPECT_EQ(submit_burst.every, 10);
+  EXPECT_EQ(submit_burst.count, 4);
+  EXPECT_EQ(submit_burst.priority, -2);
 
   // submit_burst alone is client-side noise, not server chaos.
   auto burst_only = fault::FaultPlan::parse("submit_burst:every=3,count=2");

@@ -11,22 +11,40 @@
 namespace psf::pattern {
 namespace {
 
-void count_emit(ReductionObject* obj, const void* /*input*/,
-                std::size_t /*index*/, const void* /*parameter*/) {
-  const double one = 1.0;
-  obj->insert(0, &one);
+constexpr auto count_emit = [](TypedObject<double>& obj,
+                               const std::uint32_t& /*unit*/,
+                               std::size_t /*index*/,
+                               const void* /*parameter*/) {
+  obj.insert(0, 1.0);
+};
+
+constexpr auto degree_compute = [](TypedObject<double>& obj,
+                                   const EdgeView& edge,
+                                   const double* /*nodes*/,
+                                   const void* /*parameter*/) {
+  if (edge.update[0]) obj.insert(edge.node[0], 1.0);
+  if (edge.update[1]) obj.insert(edge.node[1], 1.0);
+};
+
+constexpr auto sum_reduce = [](double& dst, const double& src) { dst += src; };
+
+/// Counts the units of `data` under key 0.
+void configure_count(TypedGReduce<std::uint32_t, double>& gr,
+                     std::span<const std::uint32_t> data,
+                     std::size_t capacity) {
+  gr.set_emit(count_emit);
+  gr.set_reduce(sum_reduce);
+  gr.set_input(data);
+  gr.configure(capacity);
 }
 
-void degree_compute(ReductionObject* obj, const EdgeView& edge,
-                    const void* /*edge_data*/, const void* /*node_data*/,
-                    const void* /*parameter*/) {
-  const double one = 1.0;
-  if (edge.update[0]) obj->insert(edge.node[0], &one);
-  if (edge.update[1]) obj->insert(edge.node[1], &one);
-}
-
-void sum_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
+/// Degree counts over `nodes` and `edges`.
+void configure_degrees(TypedIReduce<double, double>& ir,
+                       std::span<double> nodes, std::span<const Edge> edges) {
+  ir.set_edge_compute(degree_compute);
+  ir.set_node_reduce(sum_reduce);
+  ir.set_nodes(nodes);
+  ir.set_edges(edges);
 }
 
 constexpr auto copy_cell = [](const GridView<double, 2>& in,
@@ -48,14 +66,11 @@ TEST(EdgeCases, GrFewerUnitsThanRanks) {
   minimpi::World world(8);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(count_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(4, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
+    TypedGReduce<std::uint32_t, double> gr(env);
+    configure_count(gr, data, 4);
+    ASSERT_TRUE(gr.start().is_ok());
     double count = 0.0;
-    ASSERT_TRUE(gr->get_global_reduction().lookup(0, &count));
+    ASSERT_TRUE(gr.lookup_global(0, &count));
     EXPECT_DOUBLE_EQ(count, 3.0);
   });
 }
@@ -65,14 +80,11 @@ TEST(EdgeCases, GrSingleUnit) {
   minimpi::World world(2);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(count_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(2, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
+    TypedGReduce<std::uint32_t, double> gr(env);
+    configure_count(gr, data, 2);
+    ASSERT_TRUE(gr.start().is_ok());
     double count = 0.0;
-    ASSERT_TRUE(gr->get_global_reduction().lookup(0, &count));
+    ASSERT_TRUE(gr.lookup_global(0, &count));
     EXPECT_DOUBLE_EQ(count, 1.0);
   });
 }
@@ -84,14 +96,11 @@ TEST(EdgeCases, GrManyDevicesLittleWork) {
     EnvOptions options = cpu_options();
     options.use_gpus = 2;
     RuntimeEnv env(comm, options);
-    auto* gr = env.get_GR();
-    gr->set_emit_func(count_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(2, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
+    TypedGReduce<std::uint32_t, double> gr(env);
+    configure_count(gr, data, 2);
+    ASSERT_TRUE(gr.start().is_ok());
     double count = 0.0;
-    ASSERT_TRUE(gr->get_global_reduction().lookup(0, &count));
+    ASSERT_TRUE(gr.lookup_global(0, &count));
     EXPECT_DOUBLE_EQ(count, 5.0);
   });
 }
@@ -103,16 +112,12 @@ TEST(EdgeCases, IrEmptyEdgeList) {
   std::vector<double> nodes(30, 0.0);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(nodes.data(), sizeof(double), nodes.size());
+    TypedIReduce<double, double> ir(env);
     const Edge* none = reinterpret_cast<const Edge*>(&nodes);  // non-null
-    ir->set_edges(none, 0, nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_EQ(ir->get_local_reduction().size(), 0u);
-    EXPECT_EQ(ir->remote_nodes(), 0u);
+    configure_degrees(ir, nodes, std::span<const Edge>(none, 0));
+    ASSERT_TRUE(ir.start().is_ok());
+    EXPECT_EQ(ir.raw().get_local_reduction().size(), 0u);
+    EXPECT_EQ(ir.raw().remote_nodes(), 0u);
   });
 }
 
@@ -122,22 +127,19 @@ TEST(EdgeCases, IrSingleEdgeAcrossPartitionBoundary) {
   const std::vector<Edge> edges{{0, 3}};  // rank 0 owns 0-1, rank 1 owns 2-3
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(nodes.data(), sizeof(double), nodes.size());
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_EQ(ir->stats().local_edges, 0u);
-    EXPECT_EQ(ir->stats().cross_edges, 1u);
-    EXPECT_EQ(ir->remote_nodes(), 1u);
+    TypedIReduce<double, double> ir(env);
+    configure_degrees(ir, nodes, edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
+    EXPECT_EQ(raw.stats().local_edges, 0u);
+    EXPECT_EQ(raw.stats().cross_edges, 1u);
+    EXPECT_EQ(raw.remote_nodes(), 1u);
     double out = 0.0;
     if (comm.rank() == 0) {
-      ASSERT_TRUE(ir->get_local_reduction().lookup(0, &out));
+      ASSERT_TRUE(ir.lookup_local(0, &out));
       EXPECT_DOUBLE_EQ(out, 1.0);
     } else {
-      ASSERT_TRUE(ir->get_local_reduction().lookup(1, &out));  // local id
+      ASSERT_TRUE(ir.lookup_local(1, &out));  // local id
       EXPECT_DOUBLE_EQ(out, 1.0);
     }
   });
@@ -151,16 +153,13 @@ TEST(EdgeCases, IrSelfContainedRankHasNoExchange) {
   const std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}};
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(nodes.data(), sizeof(double), nodes.size());
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
+    TypedIReduce<double, double> ir(env);
+    configure_degrees(ir, nodes, edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
     if (comm.rank() == 1) {
-      EXPECT_EQ(ir->stats().local_edges + ir->stats().cross_edges, 0u);
-      EXPECT_EQ(ir->get_local_reduction().size(), 0u);
+      EXPECT_EQ(raw.stats().local_edges + raw.stats().cross_edges, 0u);
+      EXPECT_EQ(raw.get_local_reduction().size(), 0u);
     }
   });
 }
@@ -171,16 +170,12 @@ TEST(EdgeCases, IrDuplicateEdgesAccumulate) {
   const std::vector<Edge> edges{{1, 5}, {1, 5}, {1, 5}};
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(nodes.data(), sizeof(double), nodes.size());
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
+    TypedIReduce<double, double> ir(env);
+    configure_degrees(ir, nodes, edges);
+    ASSERT_TRUE(ir.start().is_ok());
     double out = 0.0;
     if (comm.rank() == 0) {
-      ASSERT_TRUE(ir->get_local_reduction().lookup(1, &out));
+      ASSERT_TRUE(ir.lookup_local(1, &out));
       EXPECT_DOUBLE_EQ(out, 3.0);
     }
   });

@@ -21,11 +21,12 @@ EnvOptions cpu_options() {
   return options;
 }
 
-void dummy_emit(pattern::ReductionObject*, const void*, std::size_t,
-                const void*) {}
-void dummy_reduce(void*, const void*) {}
-void dummy_edge(pattern::ReductionObject*, const pattern::EdgeView&,
-                const void*, const void*, const void*) {}
+constexpr auto dummy_emit = [](pattern::TypedObject<double>&, const int&,
+                               std::size_t, const void*) {};
+constexpr auto dummy_reduce = [](double&, const double&) {};
+constexpr auto dummy_edge = [](pattern::TypedObject<double>&,
+                               const pattern::EdgeView&, const double*,
+                               const void*) {};
 constexpr auto dummy_stencil = [](const pattern::GridView<double, 2>&,
                                    const pattern::MutableGridView<double, 2>&,
                                    const int*, const void*) {};
@@ -36,20 +37,20 @@ TEST(FailureInjection, GrMissingPiecesReportedIndividually) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* gr = env.get_GR();
-    EXPECT_EQ(gr->start().code(), support::ErrorCode::kFailedPrecondition);
+    pattern::TypedGReduce<int, double> gr(env);
+    EXPECT_EQ(gr.start().code(), support::ErrorCode::kFailedPrecondition);
 
-    gr->set_emit_func(dummy_emit);
-    gr->set_reduce_func(dummy_reduce);
-    EXPECT_EQ(gr->start().code(), support::ErrorCode::kFailedPrecondition);
+    gr.set_emit(dummy_emit);
+    gr.set_reduce(dummy_reduce);
+    EXPECT_EQ(gr.start().code(), support::ErrorCode::kFailedPrecondition);
 
     const std::vector<int> data(10, 0);
-    gr->set_input(data.data(), sizeof(int), data.size());
-    EXPECT_EQ(gr->start().code(),
+    gr.set_input(data);
+    EXPECT_EQ(gr.start().code(),
               support::ErrorCode::kFailedPrecondition);  // no object yet
 
-    gr->configure_object(8, sizeof(double));
-    EXPECT_TRUE(gr->start().is_ok());
+    gr.configure(8);
+    EXPECT_TRUE(gr.start().is_ok());
   });
 }
 
@@ -57,20 +58,23 @@ TEST(FailureInjection, IrMissingPiecesReported) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* ir = env.get_IR();
-    EXPECT_EQ(ir->start().code(), support::ErrorCode::kFailedPrecondition);
-    ir->set_edge_comp_func(dummy_edge);
-    ir->set_node_reduc_func(dummy_reduce);
-    EXPECT_EQ(ir->start().code(), support::ErrorCode::kFailedPrecondition);
+    pattern::TypedIReduce<double, double> ir(env);
+    EXPECT_EQ(ir.start().code(), support::ErrorCode::kFailedPrecondition);
+    ir.set_edge_compute(dummy_edge);
+    ir.set_node_reduce(dummy_reduce);
+    EXPECT_EQ(ir.start().code(), support::ErrorCode::kFailedPrecondition);
+    // The typed set_nodes also sizes the value; the runtime's own setters
+    // leave it unset so each missing piece is reported on its own.
+    auto& raw = ir.raw();
     std::vector<double> nodes(4, 0.0);
-    ir->set_nodes(nodes.data(), sizeof(double), nodes.size());
-    EXPECT_EQ(ir->start().code(), support::ErrorCode::kFailedPrecondition);
+    raw.set_nodes(nodes.data(), sizeof(double), nodes.size());
+    EXPECT_EQ(ir.start().code(), support::ErrorCode::kFailedPrecondition);
     const std::vector<pattern::Edge> edges{{0, 1}};
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    EXPECT_EQ(ir->start().code(),
+    ir.set_edges(edges);
+    EXPECT_EQ(ir.start().code(),
               support::ErrorCode::kFailedPrecondition);  // no value size
-    ir->configure_value(sizeof(double));
-    EXPECT_TRUE(ir->start().is_ok());
+    raw.configure_value(sizeof(double));
+    EXPECT_TRUE(ir.start().is_ok());
   });
 }
 
@@ -109,15 +113,14 @@ TEST(FailureInjection, IrEdgeOutOfRangeDies) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(dummy_edge);
-    ir->set_node_reduc_func(dummy_reduce);
+    pattern::TypedIReduce<double, double> ir(env);
+    ir.set_edge_compute(dummy_edge);
+    ir.set_node_reduce(dummy_reduce);
     std::vector<double> nodes(4, 0.0);
-    ir->set_nodes(nodes.data(), sizeof(double), nodes.size());
+    ir.set_nodes(nodes);
     const std::vector<pattern::Edge> edges{{0, 99}};  // node 99 of 4
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    EXPECT_DEATH((void)ir->start(), "outside the graph");
+    ir.set_edges(edges);
+    EXPECT_DEATH((void)ir.start(), "outside the graph");
   });
 }
 

@@ -16,23 +16,32 @@ namespace {
 // emit(key=value, 1) and sum. Ground truth is trivially computable.
 constexpr std::size_t kBuckets = 16;
 
-void hist_emit(ReductionObject* obj, const void* input, std::size_t /*index*/,
-               const void* /*parameter*/) {
-  const auto value = *static_cast<const std::uint32_t*>(input);
-  const double one = 1.0;
-  obj->insert(value, &one);
-}
+using HistGR = TypedGReduce<std::uint32_t, double>;
 
-void sum_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto hist_emit = [](TypedObject<double>& obj,
+                              const std::uint32_t& value,
+                              std::size_t /*index*/,
+                              const void* /*parameter*/) {
+  obj.insert(value, 1.0);
+};
+
+constexpr auto sum_reduce = [](double& dst, const double& src) { dst += src; };
 
 // Index-sum workload: emit(key=0, index) — verifies the runtime passes
 // global unit indices, covering the whole range exactly once.
-void index_emit(ReductionObject* obj, const void* /*input*/,
-                std::size_t index, const void* /*parameter*/) {
-  const double value = static_cast<double>(index);
-  obj->insert(0, &value);
+constexpr auto index_emit = [](TypedObject<double>& obj,
+                               const std::uint32_t& /*unit*/,
+                               std::size_t index, const void* /*parameter*/) {
+  obj.insert(0, static_cast<double>(index));
+};
+
+/// A histogram reduction over `data` with a `capacity`-key object.
+void configure_histogram(HistGR& gr, std::span<const std::uint32_t> data,
+                         std::size_t capacity) {
+  gr.set_emit(hist_emit);
+  gr.set_reduce(sum_reduce);
+  gr.set_input(data);
+  gr.configure(capacity);
 }
 
 std::vector<std::uint32_t> histogram_input(std::size_t n) {
@@ -61,18 +70,14 @@ void check_global_histogram(minimpi::Communicator& comm,
                             const EnvOptions& options,
                             std::span<const std::uint32_t> data) {
   RuntimeEnv env(comm, options);
-  auto* gr = env.get_GR();
-  gr->set_emit_func(hist_emit);
-  gr->set_reduce_func(sum_reduce);
-  gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-  gr->configure_object(kBuckets * 2, sizeof(double));
-  ASSERT_TRUE(gr->start().is_ok());
-  const auto& global = gr->get_global_reduction();
+  HistGR gr(env);
+  configure_histogram(gr, data, kBuckets * 2);
+  ASSERT_TRUE(gr.start().is_ok());
   const auto expected = expected_histogram(data);
   for (std::size_t b = 0; b < kBuckets; ++b) {
     double out = 0.0;
     if (expected[b] > 0) {
-      ASSERT_TRUE(global.lookup(b, &out)) << "bucket " << b;
+      ASSERT_TRUE(gr.lookup_global(b, &out)) << "bucket " << b;
       EXPECT_DOUBLE_EQ(out, expected[b]) << "bucket " << b;
     }
   }
@@ -120,14 +125,14 @@ TEST(GReduction, IndexParameterCoversGlobalRange) {
   const std::vector<std::uint32_t> data(kN, 0);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(index_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(4, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
+    HistGR gr(env);
+    gr.set_emit(index_emit);
+    gr.set_reduce(sum_reduce);
+    gr.set_input(data);
+    gr.configure(4);
+    ASSERT_TRUE(gr.start().is_ok());
     double sum = 0.0;
-    ASSERT_TRUE(gr->get_global_reduction().lookup(0, &sum));
+    ASSERT_TRUE(gr.lookup_global(0, &sum));
     EXPECT_DOUBLE_EQ(sum, static_cast<double>(kN) * (kN - 1) / 2.0);
   });
 }
@@ -138,14 +143,11 @@ TEST(GReduction, LocalReductionOnlyCoversOwnPartition) {
   const std::vector<std::uint32_t> data(kN, 1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(kBuckets, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
+    HistGR gr(env);
+    configure_histogram(gr, data, kBuckets);
+    ASSERT_TRUE(gr.start().is_ok());
     double local = 0.0;
-    ASSERT_TRUE(gr->get_local_reduction().lookup(1, &local));
+    ASSERT_TRUE(gr.lookup_local(1, &local));
     EXPECT_DOUBLE_EQ(local, 250.0);  // kN / 4 ranks
     comm.barrier();  // keep mailbox empty checks deterministic
   });
@@ -157,20 +159,16 @@ TEST(GReduction, RuntimeReuseAcrossKernels) {
   const auto data = histogram_input(2048);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(kBuckets, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
-    (void)gr->get_global_reduction();
+    HistGR gr(env);
+    configure_histogram(gr, data, kBuckets);
+    ASSERT_TRUE(gr.run(1).is_ok());  // local pass + global combine
 
     // Second kernel: index sum with a single key.
-    gr->set_emit_func(index_emit);
-    gr->configure_object(4, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
+    gr.set_emit(index_emit);
+    gr.configure(4);
+    ASSERT_TRUE(gr.start().is_ok());
     double sum = 0.0;
-    ASSERT_TRUE(gr->get_global_reduction().lookup(0, &sum));
+    ASSERT_TRUE(gr.lookup_global(0, &sum));
     EXPECT_DOUBLE_EQ(sum, 2048.0 * 2047.0 / 2.0);
   });
 }
@@ -179,8 +177,8 @@ TEST(GReduction, StartWithoutConfigurationFails) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    const auto status = gr->start();
+    HistGR gr(env);
+    const auto status = gr.start();
     EXPECT_FALSE(status.is_ok());
     EXPECT_EQ(status.code(), support::ErrorCode::kFailedPrecondition);
   });
@@ -196,13 +194,10 @@ TEST(GReduction, StatsReflectExecution) {
     // dominate the tiny functional input.
     options.workload_scale = 20000.0;
     RuntimeEnv env(comm, options);
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(kBuckets, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
-    const auto& stats = gr->stats();
+    HistGR gr(env);
+    configure_histogram(gr, data, kBuckets);
+    ASSERT_TRUE(gr.start().is_ok());
+    const auto& stats = gr.raw().stats();
     ASSERT_EQ(stats.device_units.size(), 3u);  // CPU + 2 GPUs
     EXPECT_EQ(std::accumulate(stats.device_units.begin(),
                               stats.device_units.end(), std::size_t{0}),
@@ -222,13 +217,10 @@ TEST(GReduction, SharedMemoryLocalizationCanBeDisabled) {
     EnvOptions options = cpu_only_options();
     options.reduction_localization = false;
     RuntimeEnv env(comm, options);
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(kBuckets, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
-    EXPECT_FALSE(gr->stats().used_shared_memory);
+    HistGR gr(env);
+    configure_histogram(gr, data, kBuckets);
+    ASSERT_TRUE(gr.start().is_ok());
+    EXPECT_FALSE(gr.raw().stats().used_shared_memory);
     check_global_histogram(comm, options, data);
   });
 }
@@ -238,16 +230,13 @@ TEST(GReduction, LargeObjectFallsBackToDeviceMemory) {
   const auto data = histogram_input(3000);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
+    HistGR gr(env);
     // 1M slots x 8 bytes >> any shared-memory arena.
-    gr->configure_object(1 << 20, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
-    EXPECT_FALSE(gr->stats().used_shared_memory);
+    configure_histogram(gr, data, 1 << 20);
+    ASSERT_TRUE(gr.start().is_ok());
+    EXPECT_FALSE(gr.raw().stats().used_shared_memory);
     double out = 0.0;
-    ASSERT_TRUE(gr->get_global_reduction().lookup(3, &out));
+    ASSERT_TRUE(gr.lookup_global(3, &out));
     EXPECT_GT(out, 0.0);
   });
 }
@@ -263,12 +252,9 @@ TEST(GReduction, VirtualTimeScalesWithWork) {
       EnvOptions options = cpu_only_options();
       options.workload_scale = 1000.0;  // make overheads negligible
       RuntimeEnv env(comm, options);
-      auto* gr = env.get_GR();
-      gr->set_emit_func(hist_emit);
-      gr->set_reduce_func(sum_reduce);
-      gr->set_input(data->data(), sizeof(std::uint32_t), data->size());
-      gr->configure_object(kBuckets, sizeof(double));
-      ASSERT_TRUE(gr->start().is_ok());
+      HistGR gr(env);
+      configure_histogram(gr, *data, kBuckets);
+      ASSERT_TRUE(gr.start().is_ok());
     });
     (data == &small ? small_time : large_time) = world.makespan();
   }
@@ -285,12 +271,9 @@ TEST(GReduction, WorkloadScaleMultipliesVirtualTime) {
       EnvOptions options = cpu_only_options();
       options.workload_scale = scale;
       RuntimeEnv env(comm, options);
-      auto* gr = env.get_GR();
-      gr->set_emit_func(hist_emit);
-      gr->set_reduce_func(sum_reduce);
-      gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-      gr->configure_object(kBuckets, sizeof(double));
-      ASSERT_TRUE(gr->start().is_ok());
+      HistGR gr(env);
+      configure_histogram(gr, data, kBuckets);
+      ASSERT_TRUE(gr.start().is_ok());
     });
     (scale == 1.0 ? base_time : scaled_time) = world.makespan();
   }
@@ -319,14 +302,11 @@ TEST(GReduction, LocalizationImprovesVirtualTime) {
       options.reduction_localization = localization;
       options.workload_scale = 5000.0;
       RuntimeEnv env(comm, options);
-      auto* gr = env.get_GR();
-      gr->set_emit_func(hist_emit);
-      gr->set_reduce_func(sum_reduce);
-      gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-      gr->configure_object(kBuckets, sizeof(double));
-      ASSERT_TRUE(gr->start().is_ok());
+      HistGR gr(env);
+      configure_histogram(gr, data, kBuckets);
+      ASSERT_TRUE(gr.start().is_ok());
       double out = 0.0;
-      ASSERT_TRUE(gr->get_global_reduction().lookup(3, &out));
+      ASSERT_TRUE(gr.lookup_global(3, &out));
       EXPECT_GT(out, 0.0);
     });
     (localization ? with : without) = world.makespan();
@@ -342,14 +322,13 @@ namespace psf::pattern {
 namespace {
 
 // Emit functions may produce zero or many pairs per unit.
-void multi_emit(ReductionObject* obj, const void* input, std::size_t /*i*/,
-                const void* /*parameter*/) {
-  const auto value = *static_cast<const std::uint32_t*>(input);
-  const double one = 1.0;
-  if (value % 2 == 0) return;              // evens emit nothing
-  obj->insert(value % kBuckets, &one);     // odds emit twice
-  obj->insert((value + 1) % kBuckets, &one);
-}
+constexpr auto multi_emit = [](TypedObject<double>& obj,
+                               const std::uint32_t& value, std::size_t /*i*/,
+                               const void* /*parameter*/) {
+  if (value % 2 == 0) return;             // evens emit nothing
+  obj.insert(value % kBuckets, 1.0);      // odds emit twice
+  obj.insert((value + 1) % kBuckets, 1.0);
+};
 
 TEST(GReduction, ZeroAndMultipleEmitsPerUnit) {
   constexpr std::size_t kN = 3000;
@@ -366,34 +345,19 @@ TEST(GReduction, ZeroAndMultipleEmitsPerUnit) {
   minimpi::World world(3);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(multi_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(kBuckets * 2, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
-    const auto& global = gr->get_global_reduction();
+    HistGR gr(env);
+    gr.set_emit(multi_emit);
+    gr.set_reduce(sum_reduce);
+    gr.set_input(data);
+    gr.configure(kBuckets * 2);
+    ASSERT_TRUE(gr.start().is_ok());
     for (std::size_t b = 0; b < kBuckets; ++b) {
       double out = 0.0;
       if (expected[b] > 0) {
-        ASSERT_TRUE(global.lookup(b, &out));
+        ASSERT_TRUE(gr.lookup_global(b, &out));
         EXPECT_DOUBLE_EQ(out, expected[b]);
       }
     }
-  });
-}
-
-TEST(GReduction, PaperSpellingAliasWorks) {
-  const auto data = histogram_input(500);
-  minimpi::World world(1);
-  world.run([&](minimpi::Communicator& comm) {
-    RuntimeEnv env(comm, cpu_only_options());
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduc_func(sum_reduce);  // Listing 2 spelling
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(kBuckets, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
   });
 }
 
@@ -412,19 +376,15 @@ TEST(GReduction, ExplicitSubObjectCountsProduceSameResult) {
       EnvOptions options = cpu_only_options();
       options.use_gpus = 1;
       RuntimeEnv env(comm, options);
-      auto* gr = env.get_GR();
-      gr->set_emit_func(hist_emit);
-      gr->set_reduce_func(sum_reduce);
-      gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-      gr->configure_object(kBuckets, sizeof(double));
-      gr->set_objects_per_block(objects);
-      ASSERT_TRUE(gr->start().is_ok());
-      EXPECT_TRUE(gr->stats().used_shared_memory);
-      const auto& global = gr->get_global_reduction();
+      HistGR gr(env);
+      configure_histogram(gr, data, kBuckets);
+      gr.raw().set_objects_per_block(objects);
+      ASSERT_TRUE(gr.start().is_ok());
+      EXPECT_TRUE(gr.raw().stats().used_shared_memory);
       for (std::size_t b = 0; b < kBuckets; ++b) {
         double out = 0.0;
         if (expected[b] > 0) {
-          ASSERT_TRUE(global.lookup(b, &out)) << "objects " << objects;
+          ASSERT_TRUE(gr.lookup_global(b, &out)) << "objects " << objects;
           EXPECT_DOUBLE_EQ(out, expected[b]);
         }
       }

@@ -14,50 +14,52 @@
 namespace psf::pattern {
 namespace {
 
+/// Node value and per-node reduction value are both one double.
+using DoubleIR = TypedIReduce<double, double>;
+
 // Degree-count workload: every edge adds 1 to each endpoint it owns.
 // Ground truth: node degree.
-void degree_compute(ReductionObject* obj, const EdgeView& edge,
-                    const void* /*edge_data*/, const void* /*node_data*/,
-                    const void* /*parameter*/) {
-  const double one = 1.0;
-  if (edge.update[0]) obj->insert(edge.node[0], &one);
-  if (edge.update[1]) obj->insert(edge.node[1], &one);
-}
+constexpr auto degree_compute = [](TypedObject<double>& obj,
+                                   const EdgeView& edge,
+                                   const double* /*nodes*/,
+                                   const void* /*parameter*/) {
+  if (edge.update[0]) obj.insert(edge.node[0], 1.0);
+  if (edge.update[1]) obj.insert(edge.node[1], 1.0);
+};
 
 // Neighbor-sum workload: each endpoint accumulates the OTHER endpoint's
 // node value — exercises remote node data (cross edges read replicas).
-void neighbor_sum_compute(ReductionObject* obj, const EdgeView& edge,
-                          const void* /*edge_data*/, const void* node_data,
-                          const void* /*parameter*/) {
-  const auto* values = static_cast<const double*>(node_data);
-  if (edge.update[0]) {
-    const double other = values[edge.node[1]];
-    obj->insert(edge.node[0], &other);
-  }
-  if (edge.update[1]) {
-    const double other = values[edge.node[0]];
-    obj->insert(edge.node[1], &other);
-  }
-}
+constexpr auto neighbor_sum_compute = [](TypedObject<double>& obj,
+                                         const EdgeView& edge,
+                                         const double* values,
+                                         const void* /*parameter*/) {
+  if (edge.update[0]) obj.insert(edge.node[0], values[edge.node[1]]);
+  if (edge.update[1]) obj.insert(edge.node[1], values[edge.node[0]]);
+};
 
 // Edge-data workload: accumulate the edge weight into both endpoints.
-void weight_compute(ReductionObject* obj, const EdgeView& edge,
-                    const void* edge_data, const void* /*node_data*/,
-                    const void* /*parameter*/) {
-  const double weight = *static_cast<const double*>(edge_data);
-  if (edge.update[0]) obj->insert(edge.node[0], &weight);
-  if (edge.update[1]) obj->insert(edge.node[1], &weight);
-}
+constexpr auto weight_compute = [](TypedObject<double>& obj,
+                                   const EdgeView& edge, const double& weight,
+                                   const double* /*nodes*/,
+                                   const void* /*parameter*/) {
+  if (edge.update[0]) obj.insert(edge.node[0], weight);
+  if (edge.update[1]) obj.insert(edge.node[1], weight);
+};
 
-void sum_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto sum_reduce = [](double& dst, const double& src) { dst += src; };
 
-void add_value_update(void* node_data, const void* value,
-                      const void* /*parameter*/) {
-  if (value != nullptr) {
-    *static_cast<double*>(node_data) += *static_cast<const double*>(value);
-  }
+constexpr auto add_value_update = [](double& node, const double* value,
+                                     const void* /*parameter*/) {
+  if (value != nullptr) node += *value;
+};
+
+/// The degree workload over `nodes` and `edges`.
+void configure_degrees(DoubleIR& ir, std::span<double> nodes,
+                       std::span<const Edge> edges) {
+  ir.set_edge_compute(degree_compute);
+  ir.set_node_reduce(sum_reduce);
+  ir.set_nodes(nodes);
+  ir.set_edges(edges);
 }
 
 std::vector<Edge> random_graph(std::size_t nodes, std::size_t edges,
@@ -97,23 +99,18 @@ void check_degrees(minimpi::Communicator& comm, const EnvOptions& options,
                    std::size_t num_nodes, std::span<const Edge> edges,
                    std::vector<double>& node_data) {
   RuntimeEnv env(comm, options);
-  auto* ir = env.get_IR();
-  ir->set_edge_comp_func(degree_compute);
-  ir->set_node_reduc_func(sum_reduce);
-  ir->set_nodes(node_data.data(), sizeof(double), num_nodes);
-  ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-  ir->configure_value(sizeof(double));
-  ASSERT_TRUE(ir->start().is_ok());
+  DoubleIR ir(env);
+  configure_degrees(ir, std::span(node_data).first(num_nodes), edges);
+  ASSERT_TRUE(ir.start().is_ok());
 
   const auto expected = expected_degrees(num_nodes, edges);
-  const auto& local = ir->get_local_reduction();
+  const auto& raw = ir.raw();
   double local_total = 0.0;
-  for (std::size_t n = 0; n < ir->local_nodes(); ++n) {
-    const std::uint64_t global = ir->local_to_global(
-        static_cast<std::uint32_t>(n));
+  for (std::uint32_t n = 0; n < raw.local_nodes(); ++n) {
+    const std::uint64_t global = raw.local_to_global(n);
     double out = 0.0;
     if (expected[global] > 0) {
-      ASSERT_TRUE(local.lookup(n, &out)) << "node " << global;
+      ASSERT_TRUE(ir.lookup_local(n, &out)) << "node " << global;
       EXPECT_DOUBLE_EQ(out, expected[global]) << "node " << global;
       local_total += out;
     }
@@ -177,20 +174,18 @@ TEST(IReduction, NeighborSumReadsRemoteReplicas) {
     std::vector<double> node_data(kNodes);
     std::iota(node_data.begin(), node_data.end(), 0.0);
     RuntimeEnv env(comm, cpu_only_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(neighbor_sum_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t n = 0; n < ir->local_nodes(); ++n) {
-      const auto global =
-          ir->local_to_global(static_cast<std::uint32_t>(n));
+    DoubleIR ir(env);
+    ir.set_edge_compute(neighbor_sum_compute);
+    ir.set_node_reduce(sum_reduce);
+    ir.set_nodes(node_data);
+    ir.set_edges(edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
+    for (std::uint32_t n = 0; n < raw.local_nodes(); ++n) {
+      const auto global = raw.local_to_global(n);
       double out = 0.0;
       if (expected[global] > 0) {
-        ASSERT_TRUE(local.lookup(n, &out));
+        ASSERT_TRUE(ir.lookup_local(n, &out));
         EXPECT_DOUBLE_EQ(out, expected[global]) << "node " << global;
       }
     }
@@ -213,19 +208,18 @@ TEST(IReduction, EdgeDataIsDelivered) {
   world.run([&](minimpi::Communicator& comm) {
     std::vector<double> node_data(kNodes, 0.0);
     RuntimeEnv env(comm, cpu_only_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(weight_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), weights.data(),
-                  sizeof(double));
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t n = 0; n < ir->local_nodes(); ++n) {
-      const auto global = ir->local_to_global(static_cast<std::uint32_t>(n));
+    // Edges carry one double weight each, delivered to the edge compute.
+    TypedIReduce<double, double, double> ir(env);
+    ir.set_edge_compute(weight_compute);
+    ir.set_node_reduce(sum_reduce);
+    ir.set_nodes(node_data);
+    ir.set_edges(edges, weights);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
+    for (std::uint32_t n = 0; n < raw.local_nodes(); ++n) {
+      const auto global = raw.local_to_global(n);
       double out = 0.0;
-      if (local.lookup(n, &out)) {
+      if (ir.lookup_local(n, &out)) {
         EXPECT_NEAR(out, expected[global], 1e-9);
       }
     }
@@ -248,15 +242,11 @@ TEST(IReduction, UpdateNodedataWritesBackAndResyncs) {
   std::vector<double> node_data(kNodes, 0.0);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
+    DoubleIR ir(env);
+    configure_degrees(ir, node_data, edges);
     for (int pass = 0; pass < 2; ++pass) {
-      ASSERT_TRUE(ir->start().is_ok());
-      ir->update_nodedata(add_value_update);
+      ASSERT_TRUE(ir.start().is_ok());
+      ir.update_nodedata(add_value_update);
     }
     comm.barrier();
     // Global array now holds 2*degree for every node.
@@ -270,13 +260,13 @@ TEST(IReduction, UpdateNodedataWritesBackAndResyncs) {
       expected[edge.u] += node_data[edge.v];
       expected[edge.v] += node_data[edge.u];
     }
-    ir->set_edge_comp_func(neighbor_sum_compute);
-    ASSERT_TRUE(ir->start().is_ok());
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t n = 0; n < ir->local_nodes(); ++n) {
-      const auto global = ir->local_to_global(static_cast<std::uint32_t>(n));
+    ir.set_edge_compute(neighbor_sum_compute);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
+    for (std::uint32_t n = 0; n < raw.local_nodes(); ++n) {
+      const auto global = raw.local_to_global(n);
       double out = 0.0;
-      if (local.lookup(n, &out)) {
+      if (ir.lookup_local(n, &out)) {
         EXPECT_DOUBLE_EQ(out, expected[global]) << "node " << global;
       }
     }
@@ -291,25 +281,21 @@ TEST(IReduction, ResetEdgesRebuildsPartition) {
   world.run([&](minimpi::Communicator& comm) {
     std::vector<double> node_data(kNodes, 0.0);
     RuntimeEnv env(comm, cpu_only_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges_a.data(), edges_a.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_EQ(ir->stats().id_exchange_runs, 1u);
+    DoubleIR ir(env);
+    configure_degrees(ir, node_data, edges_a);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
+    EXPECT_EQ(raw.stats().id_exchange_runs, 1u);
 
-    ir->reset_edges(edges_b.data(), edges_b.size(), nullptr, 0);
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_EQ(ir->stats().id_exchange_runs, 2u);
+    ir.reset_edges(edges_b);
+    ASSERT_TRUE(ir.start().is_ok());
+    EXPECT_EQ(raw.stats().id_exchange_runs, 2u);
 
     const auto expected = expected_degrees(kNodes, edges_b);
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t n = 0; n < ir->local_nodes(); ++n) {
-      const auto global = ir->local_to_global(static_cast<std::uint32_t>(n));
+    for (std::uint32_t n = 0; n < raw.local_nodes(); ++n) {
+      const auto global = raw.local_to_global(n);
       double out = 0.0;
-      if (local.lookup(n, &out)) {
+      if (ir.lookup_local(n, &out)) {
         EXPECT_DOUBLE_EQ(out, expected[global]);
       }
     }
@@ -343,15 +329,11 @@ TEST(IReduction, OverlapReducesVirtualTime) {
     world.run([&](minimpi::Communicator& comm) {
       std::vector<double> node_data(kNodes, 0.0);
       RuntimeEnv env(comm, options);
-      auto* ir = env.get_IR();
-      ir->set_edge_comp_func(degree_compute);
-      ir->set_node_reduc_func(sum_reduce);
-      ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-      ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-      ir->configure_value(sizeof(double));
+      DoubleIR ir(env);
+      configure_degrees(ir, node_data, edges);
       for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(ir->start().is_ok());
-        ir->update_nodedata(add_value_update);
+        ASSERT_TRUE(ir.start().is_ok());
+        ir.update_nodedata(add_value_update);
       }
     });
     (overlap ? with : without) = world.makespan();
@@ -366,13 +348,10 @@ TEST(IReduction, StatsClassifyLocalAndCrossEdges) {
   world.run([&](minimpi::Communicator& comm) {
     std::vector<double> node_data(kNodes, 0.0);
     RuntimeEnv env(comm, cpu_only_options());
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
+    DoubleIR ir(env);
+    configure_degrees(ir, node_data, edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
 
     // Recompute the expected classification directly.
     const BlockPartition split(kNodes, comm.size());
@@ -387,9 +366,9 @@ TEST(IReduction, StatsClassifyLocalAndCrossEdges) {
         ++cross;
       }
     }
-    EXPECT_EQ(ir->stats().local_edges, local);
-    EXPECT_EQ(ir->stats().cross_edges, cross);
-    EXPECT_GT(ir->remote_nodes(), 0u);
+    EXPECT_EQ(raw.stats().local_edges, local);
+    EXPECT_EQ(raw.stats().cross_edges, cross);
+    EXPECT_GT(raw.remote_nodes(), 0u);
   });
 }
 
@@ -406,30 +385,26 @@ TEST(IReduction, AdaptiveRepartitionShiftsSplit) {
   world.run([&](minimpi::Communicator& comm) {
     std::vector<double> node_data(kNodes, 0.0);
     RuntimeEnv env(comm, options);
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
+    DoubleIR ir(env);
+    configure_degrees(ir, node_data, edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    const auto& raw = ir.raw();
     // Iteration 1 ran the even split (near-equal edges per device); the
     // adapted split for iteration 2 is published at the end of it
     // (the paper repartitions "in the second time step").
-    const auto edges_it1 = ir->stats().device_edges;
+    const auto edges_it1 = raw.stats().device_edges;
     const auto total_it1 = static_cast<double>(
         edges_it1[0] + edges_it1[1] + edges_it1[2]);
     EXPECT_NEAR(static_cast<double>(edges_it1[0]) / total_it1, 1.0 / 3.0,
                 0.08);
-    EXPECT_LT(ir->stats().device_split[0], 0.30);
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_LT(ir->stats().device_split[0], 0.30);
+    EXPECT_LT(raw.stats().device_split[0], 0.30);
+    ASSERT_TRUE(ir.start().is_ok());
+    EXPECT_LT(raw.stats().device_split[0], 0.30);
     // Results still correct after repartitioning.
     const auto expected = expected_degrees(kNodes, edges);
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t n = 0; n < 100; ++n) {
+    for (std::uint32_t n = 0; n < 100; ++n) {
       double out = 0.0;
-      if (local.lookup(n, &out)) {
+      if (ir.lookup_local(n, &out)) {
         EXPECT_DOUBLE_EQ(out, expected[n]);
       }
     }
@@ -447,19 +422,14 @@ TEST(IReduction, SharedMemoryTilingProducesSameResult) {
   world.run([&](minimpi::Communicator& comm) {
     std::vector<double> node_data(kNodes, 0.0);
     RuntimeEnv env(comm, options);
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_GT(ir->stats().shared_memory_tiles, 1u);
+    DoubleIR ir(env);
+    configure_degrees(ir, node_data, edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    EXPECT_GT(ir.raw().stats().shared_memory_tiles, 1u);
     const auto expected = expected_degrees(kNodes, edges);
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t n = 0; n < kNodes; n += 97) {
+    for (std::uint32_t n = 0; n < kNodes; n += 97) {
       double out = 0.0;
-      if (local.lookup(n, &out)) {
+      if (ir.lookup_local(n, &out)) {
         EXPECT_DOUBLE_EQ(out, expected[n]);
       }
     }
@@ -470,8 +440,8 @@ TEST(IReduction, StartWithoutConfigurationFails) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_only_options());
-    auto* ir = env.get_IR();
-    const auto status = ir->start();
+    DoubleIR ir(env);
+    const auto status = ir.start();
     EXPECT_FALSE(status.is_ok());
     EXPECT_EQ(status.code(), support::ErrorCode::kFailedPrecondition);
   });
@@ -489,16 +459,15 @@ TEST(IReduction, HugeValuesFallBackToUntiledGpuExecution) {
   struct BigValue {
     double payload[8192];  // 64 KB > 48 KB shared memory
   };
-  auto big_reduce = +[](void* dst, const void* src) {
-    static_cast<BigValue*>(dst)->payload[0] +=
-        static_cast<const BigValue*>(src)->payload[0];
+  auto big_reduce = [](BigValue& dst, const BigValue& src) {
+    dst.payload[0] += src.payload[0];
   };
-  auto big_compute = +[](ReductionObject* obj, const EdgeView& edge,
-                         const void*, const void*, const void*) {
+  auto big_compute = [](TypedObject<BigValue>& obj, const EdgeView& edge,
+                        const double*, const void*) {
     BigValue value{};
     value.payload[0] = 1.0;
-    if (edge.update[0]) obj->insert(edge.node[0], &value);
-    if (edge.update[1]) obj->insert(edge.node[1], &value);
+    if (edge.update[0]) obj.insert(edge.node[0], value);
+    if (edge.update[1]) obj.insert(edge.node[1], value);
   };
 
   constexpr std::size_t kNodes = 64;
@@ -509,19 +478,18 @@ TEST(IReduction, HugeValuesFallBackToUntiledGpuExecution) {
     options.use_cpu = false;
     options.use_gpus = 1;
     RuntimeEnv env(comm, options);
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(big_compute);
-    ir->set_node_reduc_func(big_reduce);
+    TypedIReduce<double, BigValue> ir(env);
+    ir.set_edge_compute(big_compute);
+    ir.set_node_reduce(big_reduce);
     std::vector<double> node_data(kNodes, 0.0);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(BigValue));
-    ASSERT_TRUE(ir->start().is_ok());
-    EXPECT_EQ(ir->stats().shared_memory_tiles, 0u);
+    ir.set_nodes(node_data);
+    ir.set_edges(edges);
+    ASSERT_TRUE(ir.start().is_ok());
+    EXPECT_EQ(ir.raw().stats().shared_memory_tiles, 0u);
     const auto expected = expected_degrees(kNodes, edges);
     BigValue out{};
-    for (std::size_t n = 0; n < kNodes; ++n) {
-      if (ir->get_local_reduction().lookup(n, &out)) {
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      if (ir.lookup_local(n, &out)) {
         EXPECT_DOUBLE_EQ(out.payload[0], expected[n]);
       }
     }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -402,17 +403,15 @@ struct WalkCase {
 };
 
 std::string describe(const WalkCase& wc) {
-  std::string out = "ndims=" + std::to_string(wc.ndims) +
-                    " halo=" + std::to_string(wc.halo) +
-                    " ranks=" + std::to_string(wc.ranks) +
-                    " gpus=" + std::to_string(wc.gpus) + " dims/topo/periodic=";
+  std::ostringstream out;
+  out << "ndims=" << wc.ndims << " halo=" << wc.halo << " ranks=" << wc.ranks
+      << " gpus=" << wc.gpus << " dims/topo/periodic=";
   for (int d = 0; d < wc.ndims; ++d) {
     const auto dd = static_cast<std::size_t>(d);
-    out += " " + std::to_string(wc.dims[dd]) + "/" +
-           std::to_string(wc.topology[dd]) + "/" +
-           (wc.periodic[dd] ? "p" : "f");
+    out << ' ' << wc.dims[dd] << '/' << wc.topology[dd] << '/'
+        << (wc.periodic[dd] ? "p" : "f");
   }
-  return out;
+  return out.str();
 }
 
 /// Random geometry: extents not divisible by the rank count, sub-grids down

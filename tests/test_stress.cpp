@@ -12,16 +12,13 @@
 namespace psf {
 namespace {
 
-void degree_compute(pattern::ReductionObject* obj,
-                    const pattern::EdgeView& edge, const void*, const void*,
-                    const void*) {
-  const double one = 1.0;
-  if (edge.update[0]) obj->insert(edge.node[0], &one);
-  if (edge.update[1]) obj->insert(edge.node[1], &one);
-}
-void sum_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto degree_compute = [](pattern::TypedObject<double>& obj,
+                                   const pattern::EdgeView& edge,
+                                   const double*, const void*) {
+  if (edge.update[0]) obj.insert(edge.node[0], 1.0);
+  if (edge.update[1]) obj.insert(edge.node[1], 1.0);
+};
+constexpr auto sum_reduce = [](double& dst, const double& src) { dst += src; };
 constexpr auto avg5 = [](const pattern::GridView<double, 2>& in,
                          const pattern::MutableGridView<double, 2>& out,
                          const int* c, const void*) {
@@ -55,27 +52,25 @@ TEST(Stress, FortyEightRankIrregularReduction) {
     pattern::EnvOptions options;
     options.use_cpu = true;
     pattern::RuntimeEnv env(comm, options);
-    auto* ir = env.get_IR();
-    ir->set_edge_comp_func(degree_compute);
-    ir->set_node_reduc_func(sum_reduce);
-    ir->set_nodes(node_data.data(), sizeof(double), kNodes);
-    ir->set_edges(edges.data(), edges.size(), nullptr, 0);
-    ir->configure_value(sizeof(double));
+    pattern::TypedIReduce<double, double> ir(env);
+    ir.set_edge_compute(degree_compute);
+    ir.set_node_reduce(sum_reduce);
+    ir.set_nodes(node_data);
+    ir.set_edges(edges);
     // Two passes: the second exercises the steps-5/6-only exchange path at
     // scale.
     for (int pass = 0; pass < 2; ++pass) {
-      ASSERT_TRUE(ir->start().is_ok());
+      ASSERT_TRUE(ir.start().is_ok());
       if (pass == 0) {
-        ir->update_nodedata(
-            +[](void*, const void*, const void*) {});
+        ir.update_nodedata([](double&, const double*, const void*) {});
       }
     }
     double total = 0.0;
-    const auto& local = ir->get_local_reduction();
-    for (std::size_t l = 0; l < ir->local_nodes(); ++l) {
+    const auto& raw = ir.raw();
+    for (std::uint32_t l = 0; l < raw.local_nodes(); ++l) {
       double out = 0.0;
-      if (local.lookup(l, &out)) {
-        const auto global = ir->local_to_global(static_cast<std::uint32_t>(l));
+      if (ir.lookup_local(l, &out)) {
+        const auto global = raw.local_to_global(l);
         EXPECT_DOUBLE_EQ(out, expected[global]);
         total += out;
       }

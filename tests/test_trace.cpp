@@ -100,15 +100,10 @@ TEST(TraceRecorder, WritesFile) {
   EXPECT_NE(contents.str().find("traceEvents"), std::string::npos);
 }
 
-void hist_emit(pattern::ReductionObject* obj, const void* input,
-               std::size_t, const void*) {
-  const auto value = *static_cast<const std::uint32_t*>(input);
-  const double one = 1.0;
-  obj->insert(value % 8, &one);
-}
-void sum_reduce(void* dst, const void* src) {
-  *static_cast<double*>(dst) += *static_cast<const double*>(src);
-}
+constexpr auto hist_emit = [](pattern::TypedObject<double>& obj,
+                              const std::uint32_t& value, std::size_t,
+                              const void*) { obj.insert(value % 8, 1.0); };
+constexpr auto sum_reduce = [](double& dst, const double& src) { dst += src; };
 
 TEST(TraceIntegration, GrRunProducesComputeAndCombineSpans) {
   std::vector<std::uint32_t> data(4000, 1);
@@ -120,13 +115,12 @@ TEST(TraceIntegration, GrRunProducesComputeAndCombineSpans) {
     options.use_gpus = 1;
     options.trace = &trace;
     pattern::RuntimeEnv env(comm, options);
-    auto* gr = env.get_GR();
-    gr->set_emit_func(hist_emit);
-    gr->set_reduce_func(sum_reduce);
-    gr->set_input(data.data(), sizeof(std::uint32_t), data.size());
-    gr->configure_object(8, sizeof(double));
-    ASSERT_TRUE(gr->start().is_ok());
-    (void)gr->get_global_reduction();
+    pattern::TypedGReduce<std::uint32_t, double> gr(env);
+    gr.set_emit(hist_emit);
+    gr.set_reduce(sum_reduce);
+    gr.set_input(data);
+    gr.configure(8);
+    ASSERT_TRUE(gr.run(1).is_ok());  // local pass + global combine
   });
   bool saw_compute = false;
   bool saw_combine = false;

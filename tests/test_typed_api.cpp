@@ -1,5 +1,6 @@
-// PSF — tests for the typed convenience layer (pattern/typed.h): the
-// wrappers must produce identical results to the raw C-style API.
+// PSF — tests for the typed pattern facades (pattern/typed.h): typed
+// callables, parameters and node updates lowered to the runtimes' function
+// pointers must reach the runtime intact and give the reference results.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -47,7 +48,7 @@ TEST(TypedGR, HistogramMatchesRawApi) {
   minimpi::World world(3);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    TypedGR<std::uint32_t, std::uint64_t> gr(env);
+    TypedGReduce<std::uint32_t, std::uint64_t> gr(env);
     gr.set_emit([](TypedObject<std::uint64_t>& obj,
                    const std::uint32_t& unit, std::size_t /*index*/,
                    const void* /*parameter*/) { obj.insert(unit, 1); });
@@ -72,7 +73,7 @@ TEST(TypedGR, ParameterIsForwarded) {
   minimpi::World world(1);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    TypedGR<std::uint32_t, std::uint64_t> gr(env);
+    TypedGReduce<std::uint32_t, std::uint64_t> gr(env);
     gr.set_emit<Threshold>(
         [](TypedObject<std::uint64_t>& obj, const std::uint32_t& unit,
            std::size_t, const Threshold* threshold) {
@@ -112,7 +113,7 @@ TEST(TypedIR, DegreesMatch) {
   std::vector<double> nodes(kNodes, 0.0);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    TypedIR<double, double> ir(env);
+    TypedIReduce<double, double> ir(env);
     ir.set_edge_compute(
         [](TypedObject<double>& obj, const EdgeView& edge,
            const double* /*nodes*/, const void* /*parameter*/) {
@@ -173,7 +174,7 @@ TEST(TypedST, AveragingStencilMatchesReference) {
   minimpi::World world(4);
   world.run([&](minimpi::Communicator& comm) {
     RuntimeEnv env(comm, cpu_options());
-    TypedST<double, 2> st(env);
+    TypedStencil<double, 2> st(env);
     st.set_stencil([](const GridView<double, 2>& in,
                       const MutableGridView<double, 2>& out,
                       const int* offset, const void* /*parameter*/) {
