@@ -33,13 +33,15 @@ cmake --build --preset "${preset}" -j "${jobs}"
 filter='ThreadPool.*:ParallelFor.*:Latch.*:ResolveWorkers.*'
 filter+=':ThreadCountDeterminism.*:Determinism.*:Devices.*'
 # Concurrency-heavy suite families are discovered, not hardcoded: any suite
-# named Serve*/Fault*/Chaos*/Hotpath*/Stencil* (present or added later)
-# joins the sanitizer run automatically instead of silently falling out of
-# coverage. Stencil sweeps run inner tiles concurrently with the halo
-# exchange.
+# named Serve*/Fault*/Chaos*/Hotpath*/Stencil*/ReductionObject*/GReduction*/
+# IReduction*/TypedGR*/TypedIR* (present or added later, plain or as a
+# parameterized Prefix/Suite) joins the sanitizer run automatically instead
+# of silently falling out of coverage. Stencil sweeps run inner tiles
+# concurrently with the halo exchange; the reduction runtimes insert into
+# lock-free block-private objects and merge them into locked shared ones.
 discovered="$("./build-${preset}/tests/psf_tests" --gtest_list_tests 2>/dev/null |
   awk '/^[A-Za-z_]/ { sub(/\.$/, ""); sub(/\..*$/, "");
-       if ($1 ~ /^(Serve|Fault|Chaos|Hotpath|Stencil)/) print $1 }' | sort -u)"
+       if ($1 ~ /^([A-Za-z0-9_]+\/)?(Serve|Fault|Chaos|Hotpath|Stencil|ReductionObject|GReduction|IReduction|TypedGR|TypedIR)/) print $1 }' | sort -u)"
 for suite in ${discovered}; do
   filter+=":${suite}.*"
 done

@@ -1,6 +1,5 @@
 // PSF — Pattern Specification Framework
-// Umbrella public API header, including the paper's DEVICE function
-// qualifier macro (paper Section II-A).
+// Umbrella public API header.
 //
 // A typical application includes this header and writes each pattern
 // through its typed facade (pattern/typed.h):
@@ -30,9 +29,3 @@
 #include "pattern/runtime_env.h"
 #include "pattern/stencil.h"
 #include "pattern/typed.h"
-
-/// The system-defined function qualifier the paper requires at the start of
-/// user-defined functions. It expands to the device-specific qualifiers
-/// (__host__ __device__ under nvcc); in the simulator both "sides" share the
-/// host ISA, so it expands to nothing.
-#define DEVICE

@@ -18,7 +18,8 @@ namespace psf::pattern {
 
 /// Per-(device, block, pass) staging objects for the emit path. Slots are
 /// laid out device-major, two per block (inner pass, boundary pass); blocks
-/// write disjoint slots, so concurrent launches never race. block_object()
+/// write disjoint slots, so concurrent launches never race and each object
+/// is exclusive to its block (no slot locks). block_object()
 /// replaces the slot with a FRESH object on every fetch — one fetch per
 /// block launch — which is what makes a host replay after a device loss
 /// idempotent. merge_into() walks slots in their fixed layout order, so the
@@ -49,7 +50,8 @@ class StencilReduce::StagingSink : public StencilEmitSink {
                             2 +
                         (inner_pass ? 0 : 1)];
     slot = std::make_unique<ReductionObject>(ObjectLayout::kHash, capacity_,
-                                             value_size_, reduce_);
+                                             value_size_, reduce_,
+                                             Sharing::kExclusive);
     return slot.get();
   }
 
@@ -149,7 +151,7 @@ support::Status StencilReduce::step() {
   const double combine_t0 = comm.timeline().now();
   global_ = std::make_unique<ReductionObject>(ObjectLayout::kHash,
                                               object_capacity_, value_size_,
-                                              reduce_);
+                                              reduce_, Sharing::kExclusive);
   sink_->merge_into(*global_);
   auto* trace = env_->options().trace;
   const std::uint64_t combine_span =

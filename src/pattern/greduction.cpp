@@ -80,7 +80,8 @@ support::Status GReductionRuntime::start() {
   stats_ = {};
   have_global_ = false;
   local_result_ = std::make_unique<ReductionObject>(
-      ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+      ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+      Sharing::kExclusive);
 
   auto& comm = env_->comm();
   const BlockPartition rank_split(num_units_, comm.size());
@@ -334,9 +335,12 @@ std::unique_ptr<ReductionObject> GReductionRuntime::execute_device_chunks(
   if (total == 0) return nullptr;
 
   // Per-device reduction object (in device memory on GPUs); block staging
-  // results merge into it in block order below.
+  // results merge into it in block order below. Every object this lane
+  // makes has one writer at a time (the lane, or the one block that owns
+  // it), so none takes slot locks.
   auto device_object = std::make_unique<ReductionObject>(
-      ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+      ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+      Sharing::kExclusive);
 
   // Reduction localization: place block objects in the SM shared-memory
   // arena when they fit (paper III-E). Multiple sub-objects per block split
@@ -367,9 +371,9 @@ std::unique_ptr<ReductionObject> GReductionRuntime::execute_device_chunks(
     if (from == to) return;
     const auto my_ranges = slice_ranges(ranges, from, to);
     auto& staged = staging[static_cast<std::size_t>(ctx.block_id)];
-    staged = std::make_unique<ReductionObject>(ObjectLayout::kHash,
-                                               object_capacity_, value_size_,
-                                               reduce_);
+    staged = std::make_unique<ReductionObject>(
+        ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+        Sharing::kExclusive);
 
     if (localize) {
       // Format the sub-objects over the (zeroed) arena, process, merge.
@@ -379,7 +383,8 @@ std::unique_ptr<ReductionObject> GReductionRuntime::execute_device_chunks(
         locals.emplace_back(
             ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
             ctx.shared.subspan(static_cast<std::size_t>(o) * one_object,
-                               one_object));
+                               one_object),
+            Sharing::kExclusive);
       }
       std::size_t position = 0;
       for (const auto& range : my_ranges) {
@@ -411,7 +416,8 @@ std::unique_ptr<ReductionObject> GReductionRuntime::execute_device_chunks(
     // byte-identical.
     device.host_replay(num_blocks, arena_bytes, body);
     auto probe = std::make_unique<ReductionObject>(
-        ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+        ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+        Sharing::kExclusive);
     for (const auto& staged : staging) {
       if (staged) probe->merge_from(*staged);
     }
@@ -419,7 +425,8 @@ std::unique_ptr<ReductionObject> GReductionRuntime::execute_device_chunks(
     probe->serialize_into(first_blob);
     device.host_replay(num_blocks, arena_bytes, body);
     probe = std::make_unique<ReductionObject>(
-        ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+        ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+        Sharing::kExclusive);
     for (const auto& staged : staging) {
       if (staged) probe->merge_from(*staged);
     }
@@ -504,7 +511,8 @@ const ReductionObject& GReductionRuntime::get_global_reduction() {
         std::vector<std::byte> blob(local_result_->serialized_size());
         local_result_->serialize_into(blob);
         auto restored = std::make_unique<ReductionObject>(
-            ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+            ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+            Sharing::kExclusive);
         restored->merge_serialized(blob);
         std::vector<std::byte> check(restored->serialized_size());
         restored->serialize_into(check);
@@ -536,7 +544,8 @@ const ReductionObject& GReductionRuntime::get_global_reduction() {
 
   const double t0 = comm.timeline().now();
   global_result_ = std::make_unique<ReductionObject>(
-      ObjectLayout::kHash, object_capacity_, value_size_, reduce_);
+      ObjectLayout::kHash, object_capacity_, value_size_, reduce_,
+      Sharing::kExclusive);
   global_result_->merge_from(*local_result_);
 
   const std::uint64_t combine_span = combine_and_broadcast(

@@ -1,6 +1,8 @@
 #include "pattern/ireduction.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -25,6 +27,40 @@ constexpr int kDataTag = 0x4a0003;   ///< protocol steps 5-6: node data
 /// across the node's CPU cores, so the effective rate is the multithreaded
 /// copy bandwidth.
 constexpr double kHostCopyBw = 2.0e10;
+
+/// The reduction-space rule, applied at every level (devices, shared-memory
+/// tiles): an edge goes to the part owning each endpoint it updates
+/// (`part[k]`, -1 when endpoint k is not updated) — once when one part owns
+/// both, otherwise once per part with only that part's endpoint updated.
+template <typename EdgeT, typename Emit>
+void split_by_owner(const EdgeT& edge,
+                    const std::array<std::ptrdiff_t, 2>& part, Emit&& emit) {
+  if (part[0] >= 0 && part[0] == part[1]) {
+    emit(part[0], edge);
+    return;
+  }
+  for (int k = 0; k < 2; ++k) {
+    if (part[k] < 0) continue;
+    EdgeT copy = edge;
+    copy.update[1 - k] = false;
+    emit(part[k], copy);
+  }
+}
+
+/// Leave `object` an empty dense object of the given shape: cleared when it
+/// already has that shape, rebuilt otherwise (first use, a new window after
+/// a repartition or reset, a new value type).
+void reset_dense(std::unique_ptr<ReductionObject>& object,
+                 std::size_t capacity, std::size_t value_size,
+                 ReduceFn reduce, Sharing sharing) {
+  if (object && object->capacity() == capacity &&
+      object->value_size() == value_size && object->reduce_fn() == reduce) {
+    object->clear();
+    return;
+  }
+  object = std::make_unique<ReductionObject>(ObjectLayout::kDense, capacity,
+                                             value_size, reduce, sharing);
+}
 }  // namespace
 
 IReductionRuntime::IReductionRuntime(RuntimeEnv& env) : env_(&env) {}
@@ -93,26 +129,49 @@ void IReductionRuntime::build_partition() {
   num_local_ = node_split.size(rank);
 
   // Inspect all input edges, keeping those that touch the local partition
-  // (each process "fetches" only its own computation space).
-  rank_local_edges_.clear();
-  rank_cross_edges_.clear();
-  remote_globals_.clear();
-  struct KeptEdge {
-    std::uint64_t id;
-    std::uint32_t u, v;
-    bool u_local, v_local;
+  // (each process "fetches" only its own computation space). Ownership is
+  // a range check against the contiguous local block. A first pass counts,
+  // so the second writes each kept edge once into an exactly reserved list.
+  const auto is_local = [this](std::uint32_t node) {
+    return node - local_begin_ < num_local_;  // wraps for node < begin
   };
-  std::vector<KeptEdge> kept;
+  std::size_t local_count = 0;
+  std::size_t cross_count = 0;
   for (std::size_t e = 0; e < num_edges_; ++e) {
     const Edge edge = edges_[e];
     PSF_CHECK_MSG(edge.u < num_nodes_ && edge.v < num_nodes_,
                   "edge " << e << " references node outside the graph");
-    const bool u_local = node_split.owner(edge.u) == rank;
-    const bool v_local = node_split.owner(edge.v) == rank;
-    if (!u_local && !v_local) continue;
-    kept.push_back({e, edge.u, edge.v, u_local, v_local});
-    if (!u_local) remote_globals_.push_back(edge.u);
-    if (!v_local) remote_globals_.push_back(edge.v);
+    const bool u_local = is_local(edge.u);
+    const bool v_local = is_local(edge.v);
+    local_count += u_local && v_local ? 1 : 0;
+    cross_count += u_local != v_local ? 1 : 0;
+  }
+  rank_local_edges_.clear();
+  rank_cross_edges_.clear();
+  remote_globals_.clear();
+  rank_local_edges_.reserve(local_count);
+  rank_cross_edges_.reserve(cross_count);
+  remote_globals_.reserve(cross_count);  // one remote endpoint per cross edge
+  const auto local_index = [this](std::uint32_t global) {
+    return static_cast<std::uint32_t>(global - local_begin_);
+  };
+  for (std::size_t e = 0; e < num_edges_; ++e) {
+    const Edge edge = edges_[e];
+    const bool u_local = is_local(edge.u);
+    const bool v_local = is_local(edge.v);
+    if (u_local && v_local) {
+      rank_local_edges_.push_back(
+          {e, {local_index(edge.u), local_index(edge.v)}, {true, true}});
+    } else if (u_local || v_local) {
+      // The remote endpoint keeps its global id until the replica slots
+      // are known (below).
+      rank_cross_edges_.push_back(
+          {e,
+           {u_local ? local_index(edge.u) : edge.u,
+            v_local ? local_index(edge.v) : edge.v},
+           {u_local, v_local}});
+      remote_globals_.push_back(u_local ? edge.v : edge.u);
+    }
   }
 
   // Remote nodes: sorted unique global ids. Because ownership is a block
@@ -136,27 +195,14 @@ void IReductionRuntime::build_partition() {
     remote_offsets_[static_cast<std::size_t>(size)] = remote_globals_.size();
   }
 
-  // Translate kept edges to local indices and split local/cross.
-  auto to_local = [&](std::uint32_t global, bool is_local) -> std::uint32_t {
-    if (is_local) return static_cast<std::uint32_t>(global - local_begin_);
+  // Point each cross edge's remote endpoint at its replica slot.
+  for (auto& edge : rank_cross_edges_) {
+    const int k = edge.update[0] ? 1 : 0;
     const auto it = std::lower_bound(remote_globals_.begin(),
-                                     remote_globals_.end(), global);
-    PSF_CHECK(it != remote_globals_.end() && *it == global);
-    return static_cast<std::uint32_t>(
+                                     remote_globals_.end(), edge.node[k]);
+    PSF_CHECK(it != remote_globals_.end() && *it == edge.node[k]);
+    edge.node[k] = static_cast<std::uint32_t>(
         num_local_ + static_cast<std::size_t>(it - remote_globals_.begin()));
-  };
-  for (const auto& edge : kept) {
-    DeviceEdge out;
-    out.id = edge.id;
-    out.node[0] = to_local(edge.u, edge.u_local);
-    out.node[1] = to_local(edge.v, edge.v_local);
-    out.update[0] = edge.u_local;
-    out.update[1] = edge.v_local;
-    if (edge.u_local && edge.v_local) {
-      rank_local_edges_.push_back(out);
-    } else {
-      rank_cross_edges_.push_back(out);
-    }
   }
   stats_.local_edges = rank_local_edges_.size();
   stats_.cross_edges = rank_cross_edges_.size();
@@ -164,8 +210,10 @@ void IReductionRuntime::build_partition() {
   // Local node data array: local partition followed by remote replicas.
   local_node_data_.resize((num_local_ + remote_globals_.size()) *
                           node_bytes_);
-  std::memcpy(local_node_data_.data(), nodes_ + local_begin_ * node_bytes_,
-              num_local_ * node_bytes_);
+  if (num_local_ > 0) {  // a rank may own no node (more ranks than nodes)
+    std::memcpy(local_node_data_.data(), nodes_ + local_begin_ * node_bytes_,
+                num_local_ * node_bytes_);
+  }
 
   // Protocol steps 1-4: exchange request counts, then the requested ids.
   send_locals_.assign(static_cast<std::size_t>(size), {});
@@ -249,7 +297,17 @@ void IReductionRuntime::build_device_plans(
     const std::vector<double>& weights) {
   const auto devices = env_->active_devices();
   const int num_devices = static_cast<int>(devices.size());
-  device_plans_.assign(static_cast<std::size_t>(num_devices), {});
+  // Plans are cleared in place, so a rebuild (the adaptive repartition, a
+  // connectivity reset) reuses the lists' storage.
+  device_plans_.resize(static_cast<std::size_t>(num_devices));
+  for (auto& plan : device_plans_) {
+    for (EdgeList* list : {&plan.local, &plan.cross}) {
+      list->edges.clear();
+      list->tile_begin.clear();
+      list->assigned = 0;
+    }
+    plan.node_begin = plan.node_end = plan.tile_nodes = 0;
+  }
 
   stats_.device_split.assign(weights.size(), 0.0);
   const double weight_sum =
@@ -276,38 +334,42 @@ void IReductionRuntime::build_device_plans(
 
   // Assign each rank-level edge to the device(s) owning its updated
   // endpoint(s) — the same reduction-space rule applied one level down.
-  auto distribute = [&](const std::vector<DeviceEdge>& edges, bool cross) {
+  // Counting first lets every list be reserved exactly.
+  auto owners = [&](const DeviceEdge& edge) {
+    const auto owner = [&](int k) -> std::ptrdiff_t {
+      return edge.update[k] ? dev_split.owner(edge.node[k]) : -1;
+    };
+    return std::array<std::ptrdiff_t, 2>{owner(0), owner(1)};
+  };
+  auto distribute = [&](const std::vector<DeviceEdge>& edges,
+                        EdgeList DevicePlan::*kind) {
+    auto list = [&](std::ptrdiff_t d) -> EdgeList& {
+      return device_plans_[static_cast<std::size_t>(d)].*kind;
+    };
     for (const auto& edge : edges) {
-      const int d0 = edge.update[0] ? dev_split.owner(edge.node[0]) : -1;
-      const int d1 = edge.update[1] ? dev_split.owner(edge.node[1]) : -1;
-      if (d0 >= 0 && d0 == d1) {
-        auto& plan = device_plans_[static_cast<std::size_t>(d0)];
-        (cross ? plan.cross_edges : plan.local_edges).push_back(edge);
-        continue;
-      }
-      if (d0 >= 0) {
-        DeviceEdge copy = edge;
-        copy.update[1] = false;
-        auto& plan = device_plans_[static_cast<std::size_t>(d0)];
-        (cross ? plan.cross_edges : plan.local_edges).push_back(copy);
-      }
-      if (d1 >= 0) {
-        DeviceEdge copy = edge;
-        copy.update[0] = false;
-        auto& plan = device_plans_[static_cast<std::size_t>(d1)];
-        (cross ? plan.cross_edges : plan.local_edges).push_back(copy);
-      }
+      split_by_owner(edge, owners(edge),
+                     [&](std::ptrdiff_t d, const DeviceEdge&) {
+                       ++list(d).assigned;
+                     });
+    }
+    for (int d = 0; d < num_devices; ++d) {
+      list(d).edges.reserve(list(d).assigned);
+    }
+    for (const auto& edge : edges) {
+      split_by_owner(edge, owners(edge),
+                     [&](std::ptrdiff_t d, const DeviceEdge& part) {
+                       list(d).edges.push_back(part);
+                     });
     }
   };
-  distribute(rank_local_edges_, /*cross=*/false);
-  distribute(rank_cross_edges_, /*cross=*/true);
+  distribute(rank_local_edges_, &DevicePlan::local);
+  distribute(rank_cross_edges_, &DevicePlan::cross);
 
   // Shared-memory reduction-space tiling on GPUs (paper III-E):
   // num_parts = num_nodes / (shared_memory_size / reduction_element_size).
   stats_.shared_memory_tiles = 0;
   for (int d = 0; d < num_devices; ++d) {
     auto& plan = device_plans_[static_cast<std::size_t>(d)];
-    plan.tile_nodes = 0;
     if (!devices[static_cast<std::size_t>(d)]->is_gpu() ||
         !env_->options().reduction_localization || value_size_ == 0) {
       continue;
@@ -336,7 +398,44 @@ void IReductionRuntime::build_device_plans(
     if (dev_nodes > 0) {
       stats_.shared_memory_tiles += (dev_nodes + tile_cap - 1) / tile_cap;
     }
+    if (dev_nodes > tile_cap) {
+      group_by_tile(plan.local, plan.node_begin, tile_cap, dev_nodes);
+      group_by_tile(plan.cross, plan.node_begin, tile_cap, dev_nodes);
+    }
   }
+}
+
+void IReductionRuntime::group_by_tile(EdgeList& list, std::size_t node_begin,
+                                      std::size_t tile_nodes,
+                                      std::size_t dev_nodes) {
+  // A stable counting sort: within a tile, edges keep their list order.
+  auto tiles = [&](const DeviceEdge& edge) {
+    const auto tile = [&](int k) -> std::ptrdiff_t {
+      return edge.update[k] ? static_cast<std::ptrdiff_t>(
+                                  (edge.node[k] - node_begin) / tile_nodes)
+                            : -1;
+    };
+    return std::array<std::ptrdiff_t, 2>{tile(0), tile(1)};
+  };
+  const std::size_t num_tiles = (dev_nodes + tile_nodes - 1) / tile_nodes;
+  list.tile_begin.assign(num_tiles + 1, 0);
+  for (const auto& edge : list.edges) {
+    split_by_owner(edge, tiles(edge), [&](std::ptrdiff_t t, const DeviceEdge&) {
+      ++list.tile_begin[static_cast<std::size_t>(t) + 1];
+    });
+  }
+  std::partial_sum(list.tile_begin.begin(), list.tile_begin.end(),
+                   list.tile_begin.begin());
+  std::vector<DeviceEdge> grouped(list.tile_begin.back());
+  std::vector<std::size_t> cursor(list.tile_begin.begin(),
+                                  list.tile_begin.end() - 1);
+  for (const auto& edge : list.edges) {
+    split_by_owner(edge, tiles(edge),
+                   [&](std::ptrdiff_t t, const DeviceEdge& part) {
+                     grouped[cursor[static_cast<std::size_t>(t)]++] = part;
+                   });
+  }
+  list.edges.swap(grouped);
 }
 
 void IReductionRuntime::exchange_node_data(bool overlap_with_local_compute) {
@@ -416,10 +515,10 @@ double IReductionRuntime::compute_edges(bool include_local,
     PSF_PROF_SCOPE("ir.edges");
     const auto& plan = device_plans_[d];
     if (include_local) {
-      run_device_edges(static_cast<int>(d), plan.local_edges);
+      run_device_edges(static_cast<int>(d), plan.local);
     }
     if (include_cross) {
-      run_device_edges(static_cast<int>(d), plan.cross_edges);
+      run_device_edges(static_cast<int>(d), plan.cross);
     }
   });
 
@@ -445,8 +544,8 @@ double IReductionRuntime::compute_edges(bool include_local,
   for (std::size_t d = 0; d < devices.size(); ++d) {
     const auto& plan = device_plans_[d];
     std::size_t edge_count = 0;
-    if (include_local) edge_count += plan.local_edges.size();
-    if (include_cross) edge_count += plan.cross_edges.size();
+    if (include_local) edge_count += plan.local.assigned;
+    if (include_cross) edge_count += plan.cross.assigned;
     if (edge_count == 0) continue;
     const double launch = devices[d]->is_accelerator()
                               ? overheads.kernel_launch_s
@@ -480,13 +579,14 @@ double IReductionRuntime::compute_edges(bool include_local,
   return lanes.join(comm.timeline());
 }
 
-void IReductionRuntime::run_device_edges(
-    int device_index, const std::vector<DeviceEdge>& edges) {
-  if (edges.empty()) return;
+void IReductionRuntime::run_device_edges(int device_index,
+                                         const EdgeList& list) {
+  if (list.edges.empty()) return;
   auto devices = env_->active_devices();
   devsim::Device& device = *devices[static_cast<std::size_t>(device_index)];
-  auto& plan = device_plans_[static_cast<std::size_t>(device_index)];
+  const auto& plan = device_plans_[static_cast<std::size_t>(device_index)];
   const std::byte* node_data = local_node_data_.data();
+  const std::vector<DeviceEdge>& edges = list.edges;
 
   auto run_edge = [&](ReductionObject* target, const DeviceEdge& edge) {
     EdgeView view;
@@ -500,27 +600,26 @@ void IReductionRuntime::run_device_edges(
     edge_compute_(target, view, attrs, node_data, parameter_);
   };
 
-  const bool tiled = plan.tile_nodes > 0 &&
-                     (plan.node_end - plan.node_begin) > plan.tile_nodes;
-  if (!tiled) {
+  if (list.tile_begin.empty()) {
     // Blocks split the edge list; each block accumulates into a private
     // dense staging object windowed on this device's node range, and the
-    // staging objects merge into the local result in BLOCK order after the
-    // launch. The combine tree therefore depends only on the block count (a
-    // device property) — results are bit-identical for every num_threads.
+    // staging objects of the blocks that ran merge into the local result in
+    // BLOCK order after the launch. The combine tree therefore depends only
+    // on the block count (a device property) — results are bit-identical
+    // for every num_threads.
     const int blocks = device.descriptor().compute_units;
     const BlockPartition split(edges.size(), blocks);
     const std::size_t window =
         std::max<std::size_t>(plan.node_end - plan.node_begin, 1);
-    std::vector<std::unique_ptr<ReductionObject>> staging(
-        static_cast<std::size_t>(blocks));
+    auto& staging = staging_[static_cast<std::size_t>(device_index)];
+    staging.resize(static_cast<std::size_t>(blocks));
     auto body = [&](const devsim::BlockContext& ctx) {
       const std::size_t from = split.begin(ctx.block_id);
       const std::size_t to = split.end(ctx.block_id);
       if (from == to) return;
       auto& staged = staging[static_cast<std::size_t>(ctx.block_id)];
-      staged = std::make_unique<ReductionObject>(ObjectLayout::kDense, window,
-                                                 value_size_, node_reduce_);
+      reset_dense(staged, window, value_size_, node_reduce_,
+                  Sharing::kExclusive);
       staged->set_key_offset(plan.node_begin);
       for (std::size_t e = from; e < to; ++e) {
         run_edge(staged.get(), edges[e]);
@@ -529,60 +628,39 @@ void IReductionRuntime::run_device_edges(
     device.run_blocks(blocks, 0, body);
     // Clean-loss death executes ZERO blocks (devsim contract), so the
     // host replay runs every block exactly once and the block-order merge
-    // below is unchanged — the bytes match the fault-free run.
+    // below is unchanged — the bytes match the fault-free run. Either way
+    // exactly the blocks with edges ran; the others hold stale objects.
     if (device.lost()) device.host_replay(blocks, 0, body);
-    for (const auto& staged : staging) {
-      if (staged) local_result_->merge_from(*staged);
+    for (int b = 0; b < blocks; ++b) {
+      if (split.size(b) > 0) {
+        local_result_->merge_from(*staging[static_cast<std::size_t>(b)]);
+      }
     }
     return;
   }
 
-  // Reduction-space tiling: group this edge list by the tile of each
-  // updated endpoint (an edge crossing tiles is processed once per tile,
-  // updating only that tile's endpoint) and reduce each tile inside the
-  // shared-memory arena, concatenating the results.
+  // Reduction-space tiling: the plan grouped this list by the tile of each
+  // updated endpoint; each tile reduces inside the shared-memory arena and
+  // the results concatenate into the local result.
   const std::size_t tile_nodes = plan.tile_nodes;
-  const std::size_t dev_nodes = plan.node_end - plan.node_begin;
-  const std::size_t num_tiles = (dev_nodes + tile_nodes - 1) / tile_nodes;
-  auto tile_of = [&](std::uint32_t local_node) {
-    return (local_node - plan.node_begin) / tile_nodes;
-  };
-  std::vector<std::vector<DeviceEdge>> tiles(num_tiles);
-  for (const auto& edge : edges) {
-    const std::size_t t0 =
-        edge.update[0] ? tile_of(edge.node[0]) : SIZE_MAX;
-    const std::size_t t1 =
-        edge.update[1] ? tile_of(edge.node[1]) : SIZE_MAX;
-    if (t0 != SIZE_MAX && t0 == t1) {
-      tiles[t0].push_back(edge);
-      continue;
-    }
-    if (t0 != SIZE_MAX) {
-      DeviceEdge copy = edge;
-      copy.update[1] = false;
-      tiles[t0].push_back(copy);
-    }
-    if (t1 != SIZE_MAX) {
-      DeviceEdge copy = edge;
-      copy.update[0] = false;
-      tiles[t1].push_back(copy);
-    }
-  }
-
+  const std::size_t num_tiles = list.tile_begin.size() - 1;
   const std::size_t arena_bytes =
       ReductionObject::required_bytes(tile_nodes, value_size_);
   auto body = [&](const devsim::BlockContext& ctx) {
     const std::size_t tile = static_cast<std::size_t>(ctx.block_id);
-    if (tiles[tile].empty()) return;
-    const std::size_t tile_begin = plan.node_begin + tile * tile_nodes;
-    ReductionObject tile_object(ObjectLayout::kDense, tile_nodes,
-                                value_size_, node_reduce_, ctx.shared);
-    tile_object.set_key_offset(tile_begin);
-    for (const auto& edge : tiles[tile]) {
-      run_edge(&tile_object, edge);
+    const std::size_t from = list.tile_begin[tile];
+    const std::size_t to = list.tile_begin[tile + 1];
+    if (from == to) return;
+    ReductionObject tile_object(ObjectLayout::kDense, tile_nodes, value_size_,
+                                node_reduce_, ctx.shared,
+                                Sharing::kExclusive);
+    tile_object.set_key_offset(plan.node_begin + tile * tile_nodes);
+    for (std::size_t e = from; e < to; ++e) {
+      run_edge(&tile_object, edges[e]);
     }
     // Concatenate: tiles own disjoint reduction-space ranges, so this
-    // merge is contention-free by construction.
+    // merge is contention-free by construction (the local result, written
+    // by every tile and device lane, keeps its slot locks).
     local_result_->merge_from(tile_object);
   };
   device.run_blocks(static_cast<int>(num_tiles), arena_bytes, body);
@@ -602,9 +680,12 @@ support::Status IReductionRuntime::start() {
   const double scale = env_->options().workload_scale;
   const double t0 = comm.timeline().now();
 
-  local_result_ = std::make_unique<ReductionObject>(
-      ObjectLayout::kDense, std::max<std::size_t>(num_local_, 1), value_size_,
-      node_reduce_);
+  // The local result lives across passes: it is rebuilt only when its
+  // shape changed, and cleared otherwise. Device lanes and tiles merge into
+  // it concurrently (disjoint slots), so it keeps its slot locks.
+  reset_dense(local_result_, std::max<std::size_t>(num_local_, 1),
+              value_size_, node_reduce_, Sharing::kShared);
+  staging_.resize(devices.size());
   iteration_device_seconds_.assign(devices.size(), 0.0);
   iteration_device_edges_.assign(devices.size(), 0);
 
@@ -618,7 +699,7 @@ support::Status IReductionRuntime::start() {
     for (std::size_t d = 0; d < devices.size(); ++d) {
       if (devices[d]->lost()) continue;
       const auto& dev_plan = device_plans_[d];
-      if (dev_plan.local_edges.empty() && dev_plan.cross_edges.empty()) {
+      if (dev_plan.local.assigned == 0 && dev_plan.cross.assigned == 0) {
         continue;
       }
       if (plan->device_fault_due(comm.rank(),
@@ -700,7 +781,7 @@ support::Status IReductionRuntime::start() {
       if (!devices[d]->is_accelerator()) continue;
       const auto& plan = device_plans_[d];
       const std::size_t edge_bytes_total =
-          (plan.local_edges.size() + plan.cross_edges.size()) *
+          (plan.local.assigned + plan.cross.assigned) *
           sizeof(DeviceEdge);
       restage = std::max(
           restage, devices[d]->descriptor().h2d_link.cost(

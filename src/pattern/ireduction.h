@@ -139,9 +139,20 @@ class IReductionRuntime {
     bool update[2] = {};
   };
 
+  /// One device's edges of one kind (rank-local or cross). On a tiled GPU
+  /// the list is grouped by shared-memory tile once per plan: tile t's
+  /// edges are edges[tile_begin[t], tile_begin[t + 1]), and an edge that
+  /// crosses tiles appears once per tile, updating only that tile's
+  /// endpoint.
+  struct EdgeList {
+    std::vector<DeviceEdge> edges;
+    std::vector<std::size_t> tile_begin;  ///< empty = untiled
+    std::size_t assigned = 0;  ///< edges assigned to the device (priced)
+  };
+
   struct DevicePlan {
-    std::vector<DeviceEdge> local_edges;  ///< endpoints all rank-local
-    std::vector<DeviceEdge> cross_edges;  ///< touch remote replicas
+    EdgeList local;  ///< endpoints all rank-local
+    EdgeList cross;  ///< touch remote replicas
     std::size_t node_begin = 0;  ///< local reduction-space range [begin,end)
     std::size_t node_end = 0;
     /// Reduction-space tiles sized to shared memory (GPU devices): tile t
@@ -152,10 +163,11 @@ class IReductionRuntime {
   support::Status validate() const;
   void build_partition();        ///< rank-level split + id exchange (1-4)
   void build_device_plans(const std::vector<double>& weights);
+  static void group_by_tile(EdgeList& list, std::size_t node_begin,
+                            std::size_t tile_nodes, std::size_t dev_nodes);
   void exchange_node_data(bool overlap_with_local_compute);
   double compute_edges(bool local_only, bool cross_only, double start_time);
-  void run_device_edges(int device_index,
-                        const std::vector<DeviceEdge>& edges);
+  void run_device_edges(int device_index, const EdgeList& list);
 
   RuntimeEnv* env_;
   IrEdgeComputeFn edge_compute_ = nullptr;
@@ -187,6 +199,12 @@ class IReductionRuntime {
   bool charge_rebuild_ = false;  ///< reset_edges() mid-run is charged
 
   std::vector<DevicePlan> device_plans_;
+  /// Block-private dense staging objects of each device's untiled
+  /// launches, per device and block. They live across start() calls: a
+  /// block clears its object on entry (so a host replay is idempotent), and
+  /// an object is rebuilt only when the device window, value size or reduce
+  /// function changed.
+  std::vector<std::vector<std::unique_ptr<ReductionObject>>> staging_;
   std::vector<double> iteration_device_seconds_;
   std::vector<std::size_t> iteration_device_edges_;
   AdaptivePartitioner partitioner_{1};

@@ -23,6 +23,9 @@ class BlockPartition {
   BlockPartition(std::size_t total, int parts)
       : total_(total), parts_(parts) {
     PSF_CHECK_MSG(parts > 0, "partition needs at least one part");
+    base_ = total_ / static_cast<std::size_t>(parts_);
+    extra_ = total_ % static_cast<std::size_t>(parts_);
+    fat_ = (base_ + 1) * extra_;
   }
 
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
@@ -31,9 +34,7 @@ class BlockPartition {
   [[nodiscard]] std::size_t begin(int part) const {
     PSF_CHECK(part >= 0 && part <= parts_);
     const std::size_t p = static_cast<std::size_t>(part);
-    const std::size_t base = total_ / static_cast<std::size_t>(parts_);
-    const std::size_t extra = total_ % static_cast<std::size_t>(parts_);
-    return p * base + (p < extra ? p : extra);
+    return p * base_ + (p < extra_ ? p : extra_);
   }
 
   [[nodiscard]] std::size_t end(int part) const { return begin(part + 1); }
@@ -45,19 +46,19 @@ class BlockPartition {
   /// Which part owns element `index`.
   [[nodiscard]] int owner(std::size_t index) const {
     PSF_CHECK_MSG(index < total_, "owner() of out-of-range index " << index);
-    const std::size_t base = total_ / static_cast<std::size_t>(parts_);
-    const std::size_t extra = total_ % static_cast<std::size_t>(parts_);
-    const std::size_t fat = (base + 1) * extra;  // elements in the +1 parts
-    if (index < fat) {
-      return static_cast<int>(index / (base + 1));
+    if (index < fat_) {
+      return static_cast<int>(index / (base_ + 1));
     }
-    PSF_CHECK_MSG(base > 0, "more parts than elements leaves empty parts");
-    return static_cast<int>(extra + (index - fat) / base);
+    PSF_CHECK_MSG(base_ > 0, "more parts than elements leaves empty parts");
+    return static_cast<int>(extra_ + (index - fat_) / base_);
   }
 
  private:
   std::size_t total_;
   int parts_;
+  std::size_t base_ = 0;   ///< elements in every part
+  std::size_t extra_ = 0;  ///< parts with one more element (the first ones)
+  std::size_t fat_ = 0;    ///< elements held by those `extra_` parts
 };
 
 /// Contiguous partition of [0, total) proportional to non-negative weights
@@ -101,20 +102,14 @@ class WeightedPartition {
     return end(part) - begin(part);
   }
 
-  /// Which part owns element `index` (binary search over bounds).
+  /// Which part owns element `index`: the first part whose end exceeds it
+  /// (empty parts own nothing). A linear scan: the parts are a node's
+  /// devices, a handful.
   [[nodiscard]] int owner(std::size_t index) const {
     PSF_CHECK(index < bounds_.back());
-    int lo = 0;
-    int hi = parts() - 1;
-    while (lo < hi) {
-      const int mid = (lo + hi) / 2;
-      if (index < end(mid)) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    return lo;
+    std::size_t part = 0;
+    while (index >= bounds_[part + 1]) ++part;
+    return static_cast<int>(part);
   }
 
  private:

@@ -1,5 +1,6 @@
 #include "pattern/reduction_object.h"
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -23,11 +24,13 @@ std::size_t ReductionObject::required_bytes(std::size_t capacity,
 }
 
 ReductionObject::ReductionObject(ObjectLayout layout, std::size_t capacity,
-                                 std::size_t value_size, ReduceFn reduce)
+                                 std::size_t value_size, ReduceFn reduce,
+                                 Sharing sharing)
     : layout_(layout),
       capacity_(capacity),
       value_size_(value_size),
-      reduce_(reduce) {
+      reduce_(reduce),
+      sharing_(sharing) {
   PSF_CHECK_MSG(capacity > 0, "reduction object needs capacity");
   PSF_CHECK_MSG(value_size > 0, "reduction object needs a value size");
   PSF_CHECK_MSG(reduce != nullptr, "reduction object needs a reduce function");
@@ -37,11 +40,12 @@ ReductionObject::ReductionObject(ObjectLayout layout, std::size_t capacity,
 
 ReductionObject::ReductionObject(ObjectLayout layout, std::size_t capacity,
                                  std::size_t value_size, ReduceFn reduce,
-                                 std::span<std::byte> arena)
+                                 std::span<std::byte> arena, Sharing sharing)
     : layout_(layout),
       capacity_(capacity),
       value_size_(value_size),
-      reduce_(reduce) {
+      reduce_(reduce),
+      sharing_(sharing) {
   PSF_CHECK_MSG(capacity > 0, "reduction object needs capacity");
   PSF_CHECK_MSG(reduce != nullptr, "reduction object needs a reduce function");
   PSF_CHECK_MSG(arena.size() >= required_bytes(capacity, value_size),
@@ -58,9 +62,8 @@ void ReductionObject::bind(std::span<std::byte> storage) {
 }
 
 void ReductionObject::clear() {
-  for (std::size_t i = 0; i < capacity_; ++i) keys()[i] = kEmpty;
+  std::fill_n(keys(), capacity_, kEmpty);
   std::memset(locks(), 0, capacity_);
-  std::memset(values(), 0, capacity_ * value_size_);
 }
 
 std::uint64_t ReductionObject::hash_key(std::uint64_t key) noexcept {
@@ -88,46 +91,51 @@ void ReductionObject::unlock_slot(std::size_t slot) const noexcept {
   lock.store(0, std::memory_order_release);
 }
 
-bool ReductionObject::insert_impl(std::uint64_t key, const void* value) {
-  PSF_CHECK_MSG(key <= static_cast<std::uint64_t>(INT64_MAX),
-                "keys must fit in 63 bits");
+template <bool kLocked>
+bool ReductionObject::insert_slots(std::uint64_t key, const void* value) {
   if (layout_ == ObjectLayout::kDense) {
     PSF_CHECK_MSG(key >= key_offset_ && key - key_offset_ < capacity_,
                   "dense key " << key << " outside [" << key_offset_ << ", "
                                << key_offset_ + capacity_ << ")");
     const std::size_t slot = static_cast<std::size_t>(key - key_offset_);
-    lock_slot(slot);
+    if constexpr (kLocked) lock_slot(slot);
     if (keys()[slot] == kEmpty) {
       keys()[slot] = static_cast<std::int64_t>(key);
       std::memcpy(value_at(slot), value, value_size_);
     } else {
       reduce_(value_at(slot), value);
     }
-    unlock_slot(slot);
+    if constexpr (kLocked) unlock_slot(slot);
     return true;
   }
 
   // Hash layout: linear probing over at most `capacity_` slots.
-  const std::size_t mask_free_probe = capacity_;
   std::size_t slot = static_cast<std::size_t>(hash_key(key) % capacity_);
-  for (std::size_t probes = 0; probes < mask_free_probe; ++probes) {
-    lock_slot(slot);
+  for (std::size_t probes = 0; probes < capacity_; ++probes) {
+    if constexpr (kLocked) lock_slot(slot);
     const std::int64_t stored = keys()[slot];
     if (stored == kEmpty) {
       keys()[slot] = static_cast<std::int64_t>(key);
       std::memcpy(value_at(slot), value, value_size_);
-      unlock_slot(slot);
+      if constexpr (kLocked) unlock_slot(slot);
       return true;
     }
     if (stored == static_cast<std::int64_t>(key)) {
       reduce_(value_at(slot), value);
-      unlock_slot(slot);
+      if constexpr (kLocked) unlock_slot(slot);
       return true;
     }
-    unlock_slot(slot);
+    if constexpr (kLocked) unlock_slot(slot);
     slot = slot + 1 == capacity_ ? 0 : slot + 1;
   }
   return false;  // table full
+}
+
+bool ReductionObject::insert_impl(std::uint64_t key, const void* value) {
+  PSF_CHECK_MSG(key <= static_cast<std::uint64_t>(INT64_MAX),
+                "keys must fit in 63 bits");
+  return sharing_ == Sharing::kShared ? insert_slots<true>(key, value)
+                                      : insert_slots<false>(key, value);
 }
 
 void ReductionObject::insert(std::uint64_t key, const void* value) {
@@ -185,8 +193,12 @@ void ReductionObject::merge_from(const ReductionObject& other) {
   PSF_CHECK_MSG(other.value_size_ == value_size_,
                 "merging reduction objects of different value sizes");
   PSF_METRIC_ADD("pattern.gr.object_merges", 1);
-  other.for_each(
-      [this](std::uint64_t key, const void* value) { insert(key, value); });
+  const std::int64_t* other_keys = other.keys();
+  for (std::size_t i = 0; i < other.capacity_; ++i) {
+    if (other_keys[i] != kEmpty) {
+      insert(static_cast<std::uint64_t>(other_keys[i]), other.value_at(i));
+    }
+  }
 }
 
 std::vector<std::byte> ReductionObject::serialize() const {
@@ -208,11 +220,13 @@ void ReductionObject::serialize_into(std::span<std::byte> out) const {
   std::uint64_t count64 = count;
   std::memcpy(out.data(), &count64, sizeof(count64));
   std::size_t offset = sizeof(count64);
-  for_each([&](std::uint64_t key, const void* value) {
-    std::memcpy(out.data() + offset, &key, sizeof(key));
-    std::memcpy(out.data() + offset + sizeof(key), value, value_size_);
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    if (keys()[i] == kEmpty) continue;
+    std::memcpy(out.data() + offset, &keys()[i], sizeof(std::int64_t));
+    std::memcpy(out.data() + offset + sizeof(std::int64_t), value_at(i),
+                value_size_);
     offset += entry;
-  });
+  }
   PSF_CHECK(offset == out.size());
 }
 

@@ -10,6 +10,18 @@
 // external arena — the latter realizes the paper's GPU *shared-memory*
 // reduction objects and the per-CPU-core private objects ("reduction
 // localization", Section III-E).
+//
+// Thread-safety contract, fixed when an object is constructed:
+//   * Sharing::kShared (the default) — any number of threads may insert or
+//     merge into the object at once; every slot update takes that slot's
+//     lock, the paper's atomic-operation scheme.
+//   * Sharing::kExclusive — one thread writes the object at a time, as with
+//     the block-private staging objects, shared-memory sub-objects and
+//     per-device results the runtimes own. Inserts skip the slot locks; the
+//     paper's private objects merged at the end need none.
+// Both kinds have the same memory layout and produce the same bytes for the
+// same insert sequence. Reads (find, lookup, for_each, serialize) are never
+// synchronized against concurrent writers in either kind.
 #pragma once
 
 #include <atomic>
@@ -35,15 +47,19 @@ enum class ObjectLayout : std::uint8_t {
   kDense,  ///< key IS the slot index (irregular reduction spaces)
 };
 
-/// Concurrent fixed-capacity reduction table.
+/// Who may write a ReductionObject concurrently (see the header comment).
+enum class Sharing : std::uint8_t {
+  kShared,     ///< concurrent writers; per-slot locks on every update
+  kExclusive,  ///< one writer at a time; no locks taken
+};
+
+/// Fixed-capacity reduction table.
 ///
-/// Memory layout (over owned storage or an external arena):
+/// Memory layout (over owned storage or an external arena), the same for
+/// both Sharing kinds:
 ///   [int64_t keys[capacity]]      -1 = empty slot
-///   [uint8_t  locks[capacity]]    per-slot spin bytes
+///   [uint8_t  locks[capacity]]    per-slot spin bytes (kShared only)
 ///   [pad to 8] [value bytes capacity * value_size]
-///
-/// Thread-safe insertion: slot updates are guarded by per-slot locks
-/// implemented with atomic operations, the paper's locking scheme.
 class ReductionObject {
  public:
   /// Bytes required for a table of `capacity` slots of `value_size` bytes.
@@ -52,14 +68,16 @@ class ReductionObject {
 
   /// Owning constructor.
   ReductionObject(ObjectLayout layout, std::size_t capacity,
-                  std::size_t value_size, ReduceFn reduce);
+                  std::size_t value_size, ReduceFn reduce,
+                  Sharing sharing = Sharing::kShared);
 
   /// Arena-placed constructor (non-owning). The arena must be zeroed by the
   /// caller before use (Device::run_blocks zeroes block arenas); this
   /// constructor formats the key slots to empty.
   ReductionObject(ObjectLayout layout, std::size_t capacity,
                   std::size_t value_size, ReduceFn reduce,
-                  std::span<std::byte> arena);
+                  std::span<std::byte> arena,
+                  Sharing sharing = Sharing::kShared);
 
   ReductionObject(ReductionObject&&) noexcept = default;
   ReductionObject& operator=(ReductionObject&&) noexcept = default;
@@ -81,6 +99,7 @@ class ReductionObject {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t value_size() const noexcept { return value_size_; }
   [[nodiscard]] ReduceFn reduce_fn() const noexcept { return reduce_; }
+  [[nodiscard]] Sharing sharing() const noexcept { return sharing_; }
 
   /// Insert (key, value): the first insert of a key copies the value, later
   /// inserts combine through the reduce function. Aborts when a hash table
@@ -104,7 +123,9 @@ class ReductionObject {
   void for_each(
       const std::function<void(std::uint64_t, const void*)>& visit) const;
 
-  /// Merge all entries of `other` into this object (combine on collision).
+  /// Merge all entries of `other` into this object (combine on collision),
+  /// visiting `other`'s slots in order. `other` must not be written
+  /// concurrently.
   void merge_from(const ReductionObject& other);
 
   /// Serialize occupied entries as [count][key, value]... for the tree-based
@@ -122,12 +143,15 @@ class ReductionObject {
   /// Merge a serialized entry stream produced by serialize().
   void merge_serialized(std::span<const std::byte> blob);
 
-  /// Reset to empty (keys to sentinel).
+  /// Reset to empty (keys to sentinel, locks released). The value bytes of
+  /// empty slots are never read, so they are left as they are.
   void clear();
 
  private:
   void bind(std::span<std::byte> storage);
   [[nodiscard]] bool insert_impl(std::uint64_t key, const void* value);
+  template <bool kLocked>
+  [[nodiscard]] bool insert_slots(std::uint64_t key, const void* value);
 
   [[nodiscard]] std::int64_t* keys() const noexcept {
     return reinterpret_cast<std::int64_t*>(base_);
@@ -152,6 +176,7 @@ class ReductionObject {
   std::size_t capacity_;
   std::size_t value_size_;
   ReduceFn reduce_;
+  Sharing sharing_;
   std::uint64_t key_offset_ = 0;
   std::size_t values_offset_ = 0;
   std::byte* base_ = nullptr;

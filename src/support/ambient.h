@@ -42,7 +42,14 @@ enum class Slot : std::size_t {
 inline constexpr std::size_t kNumSlots = 4;
 
 namespace detail {
-extern thread_local std::array<void*, kNumSlots> tls_slots;
+// Zero-initialized: every thread starts with no overrides, resolving every
+// subsystem to its process-global singleton. Keep the definition here,
+// inline and constinit: accesses are then direct local-exec TLS loads with
+// no init wrapper. An extern declaration is reached through initial-exec
+// TLS, which the linker relaxes to a flag-preserving `lea` in an
+// executable, and GCC's UBSan null check after it reads stale flags (a
+// false "member call on null pointer of type 'struct array'").
+inline constinit thread_local std::array<void*, kNumSlots> tls_slots{};
 }  // namespace detail
 
 /// The calling thread's value for `slot`; nullptr = no override installed.

@@ -1,11 +1,14 @@
 // PSF — tests for the irregular reduction runtime: reduction-space
 // partitioning, local/cross edge classification, the Figure 3 remote-node
 // layout, the six-step exchange, overlap, adaptive device repartitioning,
-// shared-memory tiling and connectivity resets.
+// shared-memory tiling, connectivity resets, and the reuse of the
+// runtime's private objects across passes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "pattern/api.h"
@@ -494,6 +497,207 @@ TEST(IReduction, HugeValuesFallBackToUntiledGpuExecution) {
       }
     }
   });
+}
+
+/// One serialize() blob per pass of a rank's local result, then the bytes
+/// of the rank's node array.
+using RankBlobs = std::vector<std::vector<std::byte>>;
+
+std::vector<double> random_values(std::size_t count, std::uint64_t seed) {
+  support::Xoshiro256 rng(seed);
+  std::vector<double> values(count);
+  for (auto& value : values) value = rng.next_double();
+  return values;
+}
+
+/// `passes` neighbor-sum passes, each followed by update_nodedata, on one
+/// runtime (`fresh` = false) or on a fresh environment and runtime per pass.
+/// The sums depend on the combine order, so equal blobs mean the same
+/// order.
+std::vector<RankBlobs> neighbor_sum_passes(int ranks, const EnvOptions& options,
+                                           std::size_t num_nodes,
+                                           std::span<const Edge> edges,
+                                           int passes, bool fresh) {
+  std::vector<RankBlobs> out(static_cast<std::size_t>(ranks));
+  minimpi::World world(ranks);
+  world.run([&](minimpi::Communicator& comm) {
+    auto node_data = random_values(num_nodes, 5);
+    auto& blobs = out[static_cast<std::size_t>(comm.rank())];
+    std::unique_ptr<RuntimeEnv> env;
+    std::unique_ptr<DoubleIR> ir;
+    for (int pass = 0; pass < passes; ++pass) {
+      if (fresh || !ir) {
+        ir.reset();
+        env = std::make_unique<RuntimeEnv>(comm, options);
+        ASSERT_TRUE(env->init().is_ok());
+        ir = std::make_unique<DoubleIR>(*env);
+        ir->set_edge_compute(neighbor_sum_compute);
+        ir->set_node_reduce(sum_reduce);
+        ir->set_nodes(node_data);
+        ir->set_edges(edges);
+      }
+      ASSERT_TRUE(ir->start().is_ok());
+      blobs.push_back(ir->raw().get_local_reduction().serialize());
+      ir->update_nodedata(add_value_update);
+    }
+    const auto bytes = std::as_bytes(std::span(node_data));
+    blobs.emplace_back(bytes.begin(), bytes.end());
+  });
+  return out;
+}
+
+TEST(IReduction, RepeatedStartMatchesFreshRuntimePerPass) {
+  // One device per rank keeps the decomposition fixed (no adaptive
+  // repartition), so a runtime that reuses its staging objects and local
+  // result across passes must give a fresh runtime's bytes every pass: on
+  // the CPU's block-staging path and on the GPU's shared-memory tiles.
+  constexpr std::size_t kNodes = 12000;
+  const auto edges = random_graph(kNodes, 40000, 61);
+  EnvOptions gpu_only = cpu_only_options();
+  gpu_only.use_cpu = false;
+  gpu_only.use_gpus = 1;
+  for (const EnvOptions& options : {cpu_only_options(), gpu_only}) {
+    const auto reused =
+        neighbor_sum_passes(2, options, kNodes, edges, 4, /*fresh=*/false);
+    const auto fresh =
+        neighbor_sum_passes(2, options, kNodes, edges, 4, /*fresh=*/true);
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (std::size_t rank = 0; rank < reused.size(); ++rank) {
+      ASSERT_EQ(reused[rank].size(), 5u);
+      for (std::size_t pass = 0; pass < reused[rank].size(); ++pass) {
+        EXPECT_EQ(reused[rank][pass], fresh[rank][pass])
+            << "rank " << rank << " blob " << pass
+            << (options.use_cpu ? " (cpu)" : " (gpu)");
+      }
+    }
+  }
+}
+
+TEST(IReduction, ResetEdgesAcrossNodeWindowsMatchesFreshRuntime) {
+  // Growing and then shrinking the node set changes every device window:
+  // the runtime must rebuild its staging objects and local result at the
+  // new size (and re-key them) rather than reuse the old ones. The last
+  // stage keeps the window but has fewer edges than blocks: blocks left
+  // idle must not merge what their reused objects held from before.
+  struct Stage {
+    std::size_t nodes;
+    std::size_t edges;
+  };
+  const Stage stages[] = {{300, 1500}, {900, 5000}, {120, 600}, {120, 8}};
+  std::vector<std::vector<Edge>> edge_sets;
+  std::vector<std::vector<double>> node_sets;
+  for (std::size_t i = 0; i < std::size(stages); ++i) {
+    edge_sets.push_back(random_graph(stages[i].nodes, stages[i].edges, 70 + i));
+    node_sets.push_back(random_values(stages[i].nodes, 80 + i));
+  }
+  auto run = [&](bool fresh) {
+    std::vector<RankBlobs> out(3);
+    minimpi::World world(3);
+    world.run([&](minimpi::Communicator& comm) {
+      auto node_sets_copy = node_sets;
+      std::unique_ptr<RuntimeEnv> env;
+      std::unique_ptr<DoubleIR> ir;
+      for (std::size_t i = 0; i < edge_sets.size(); ++i) {
+        if (fresh || !ir) {
+          ir.reset();
+          env = std::make_unique<RuntimeEnv>(comm, cpu_only_options());
+          ir = std::make_unique<DoubleIR>(*env);
+          ir->set_edge_compute(neighbor_sum_compute);
+          ir->set_node_reduce(sum_reduce);
+          ir->set_nodes(node_sets_copy[i]);
+          ir->set_edges(edge_sets[i]);
+        } else {
+          ir->set_nodes(node_sets_copy[i]);
+          ir->reset_edges(edge_sets[i]);
+        }
+        ASSERT_TRUE(ir->start().is_ok());
+        EXPECT_EQ(ir->raw().stats().id_exchange_runs, fresh ? 1u : i + 1);
+        out[static_cast<std::size_t>(comm.rank())].push_back(
+            ir->raw().get_local_reduction().serialize());
+      }
+    });
+    return out;
+  };
+  const auto reused = run(false);
+  const auto fresh = run(true);
+  for (std::size_t rank = 0; rank < 3; ++rank) {
+    ASSERT_EQ(reused[rank].size(), std::size(stages));
+    for (std::size_t i = 0; i < std::size(stages); ++i) {
+      EXPECT_EQ(reused[rank][i], fresh[rank][i])
+          << "rank " << rank << " stage " << i;
+    }
+  }
+}
+
+TEST(IReduction, DeviceLossWithReusedStagingIsBitIdentical) {
+  // CPU + 2 GPUs with windows under one shared-memory tile, so every
+  // device accumulates in reused block-staging objects. A GPU lost mid-run
+  // replays its blocks on the host into the same objects; every pass's
+  // local result and the final node data must match the fault-free run
+  // byte for byte.
+  constexpr std::size_t kNodes = 600;
+  const auto edges = random_graph(kNodes, 4000, 91);
+  EnvOptions options = cpu_only_options();
+  options.use_gpus = 2;
+  const auto clean =
+      neighbor_sum_passes(2, options, kNodes, edges, 4, /*fresh=*/false);
+  for (const char* plan : {"device:*.gpu1@iter=2", "device:*.gpu2@iter=3"}) {
+    auto& recoveries = metrics::Registry::global().counter("fault.recoveries");
+    const std::uint64_t before = recoveries.value();
+    EnvOptions faulty_options = options;
+    faulty_options.with_fault_plan(plan);
+    const auto faulty = neighbor_sum_passes(2, faulty_options, kNodes, edges,
+                                            4, /*fresh=*/false);
+    EXPECT_GT(recoveries.value(), before) << plan;
+    EXPECT_EQ(clean, faulty) << plan;
+  }
+}
+
+TEST(IReduction, RangeCheckClassificationMatchesOwnerOracle) {
+  // The inspector decides "local" with a range check on the rank's block;
+  // brute-force BlockPartition::owner() must agree on the local/cross edge
+  // counts and the replicated remote nodes for every rank count, including
+  // ranks that own no node at all.
+  for (int ranks = 1; ranks <= 8; ++ranks) {
+    for (const std::size_t nodes : {std::size_t{5}, std::size_t{97},
+                                    std::size_t{509}}) {
+      const auto edges =
+          random_graph(nodes, nodes * 6, 1000 * ranks + nodes);
+      minimpi::World world(ranks);
+      world.run([&](minimpi::Communicator& comm) {
+        std::vector<double> node_data(nodes, 0.0);
+        RuntimeEnv env(comm, cpu_only_options());
+        DoubleIR ir(env);
+        configure_degrees(ir, node_data, edges);
+        ASSERT_TRUE(ir.start().is_ok());
+        const BlockPartition split(nodes, comm.size());
+        std::size_t local = 0;
+        std::size_t cross = 0;
+        std::set<std::uint32_t> remote;
+        for (const auto& edge : edges) {
+          const bool u_mine = split.owner(edge.u) == comm.rank();
+          const bool v_mine = split.owner(edge.v) == comm.rank();
+          if (u_mine && v_mine) {
+            ++local;
+          } else if (u_mine || v_mine) {
+            ++cross;
+            remote.insert(u_mine ? edge.v : edge.u);
+          }
+        }
+        const auto& raw = ir.raw();
+        EXPECT_EQ(raw.stats().local_edges, local)
+            << ranks << " ranks, " << nodes << " nodes";
+        EXPECT_EQ(raw.stats().cross_edges, cross)
+            << ranks << " ranks, " << nodes << " nodes";
+        EXPECT_EQ(raw.remote_nodes(), remote.size());
+        EXPECT_EQ(raw.local_nodes(), split.size(comm.rank()));
+        std::uint32_t slot = static_cast<std::uint32_t>(raw.local_nodes());
+        for (const std::uint32_t global : remote) {
+          EXPECT_EQ(raw.local_to_global(slot++), global);
+        }
+      });
+    }
+  }
 }
 
 }  // namespace

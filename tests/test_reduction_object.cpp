@@ -1,5 +1,6 @@
 // PSF — tests for the reduction object: hash and dense layouts, concurrent
-// insertion, arena placement, key offsets, merge/serialize round trips.
+// insertion, arena placement, key offsets, merge/serialize round trips, and
+// owner-exclusive (lock-free) objects against shared ones.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -266,6 +267,81 @@ TEST(ReductionObject, ClearEmpties) {
   EXPECT_EQ(object.size(), 0u);
   double out = 0.0;
   EXPECT_FALSE(object.lookup(1, &out));
+}
+
+/// One seeded insert sequence (keys below `keys`, doubles in [0, 1)) into
+/// `object`; the sums are order-sensitive, so equal bytes mean equal order.
+void insert_sequence(ReductionObject& object, std::uint64_t keys,
+                     std::uint64_t key_offset, std::uint64_t seed) {
+  support::Xoshiro256 rng(seed);
+  for (int i = 0; i < 4000; ++i) {
+    const double value = rng.next_double();
+    object.insert(key_offset + rng.next_below(keys), &value);
+  }
+}
+
+TEST(ReductionObject, ExclusiveAndSharedSerializeIdentically) {
+  for (const auto layout : {ObjectLayout::kHash, ObjectLayout::kDense}) {
+    const std::uint64_t offset = layout == ObjectLayout::kDense ? 100 : 0;
+    ReductionObject shared(layout, 256, sizeof(double), sum_reduce);
+    ReductionObject exclusive(layout, 256, sizeof(double), sum_reduce,
+                              Sharing::kExclusive);
+    if (layout == ObjectLayout::kDense) {
+      shared.set_key_offset(offset);
+      exclusive.set_key_offset(offset);
+    }
+    EXPECT_EQ(shared.sharing(), Sharing::kShared);
+    EXPECT_EQ(exclusive.sharing(), Sharing::kExclusive);
+    insert_sequence(shared, 200, offset, 31);
+    insert_sequence(exclusive, 200, offset, 31);
+    EXPECT_EQ(shared.serialize(), exclusive.serialize());
+
+    // Arena placement keeps the layout of an owned object of either kind.
+    support::AlignedBuffer arena(
+        ReductionObject::required_bytes(256, sizeof(double)));
+    ReductionObject placed(layout, 256, sizeof(double), sum_reduce,
+                           arena.bytes(), Sharing::kExclusive);
+    if (layout == ObjectLayout::kDense) placed.set_key_offset(offset);
+    insert_sequence(placed, 200, offset, 31);
+    EXPECT_EQ(shared.serialize(), placed.serialize());
+  }
+}
+
+TEST(ReductionObject, MergeExclusiveIntoShared) {
+  // Per-block exclusive objects merged into a shared result give the bytes
+  // of the same merges between shared objects.
+  ReductionObject via_exclusive(ObjectLayout::kHash, 128, sizeof(double),
+                                sum_reduce);
+  ReductionObject via_shared(ObjectLayout::kHash, 128, sizeof(double),
+                             sum_reduce);
+  for (std::uint64_t block = 0; block < 4; ++block) {
+    ReductionObject exclusive(ObjectLayout::kHash, 128, sizeof(double),
+                              sum_reduce, Sharing::kExclusive);
+    ReductionObject shared(ObjectLayout::kHash, 128, sizeof(double),
+                           sum_reduce);
+    insert_sequence(exclusive, 90, 0, 50 + block);
+    insert_sequence(shared, 90, 0, 50 + block);
+    via_exclusive.merge_from(exclusive);
+    via_shared.merge_from(shared);
+  }
+  EXPECT_EQ(via_exclusive.serialize(), via_shared.serialize());
+  EXPECT_EQ(via_exclusive.size(), 90u);
+}
+
+TEST(ReductionObject, ClearedObjectMatchesFreshOne) {
+  // Runtimes reuse their private objects across passes: clear() must leave
+  // nothing a later insert sequence can observe.
+  for (const auto layout : {ObjectLayout::kHash, ObjectLayout::kDense}) {
+    ReductionObject reused(layout, 64, sizeof(double), sum_reduce,
+                           Sharing::kExclusive);
+    insert_sequence(reused, 64, 0, 7);
+    reused.clear();
+    insert_sequence(reused, 40, 0, 8);
+    ReductionObject fresh(layout, 64, sizeof(double), sum_reduce,
+                          Sharing::kExclusive);
+    insert_sequence(fresh, 40, 0, 8);
+    EXPECT_EQ(reused.serialize(), fresh.serialize());
+  }
 }
 
 }  // namespace
