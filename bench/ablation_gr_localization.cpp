@@ -15,16 +15,15 @@ namespace {
 
 double measure(const KmeansWorkload& workload, const DeviceConfig& devices,
                bool localization) {
-  minimpi::World world = make_world(1, workload.scales);
-  double vtime = 0.0;
-  world.run([&](minimpi::Communicator& comm) {
-    pattern::EnvOptions options = make_options(workload.scales, devices);
-    options.reduction_localization = localization;
-    vtime = psf::apps::kmeans::run_framework(comm, options, workload.params,
-                                             workload.points)
-                .vtime;
-  });
-  return vtime;
+  return run_cell(
+      make_world(1, workload.scales), [&](minimpi::Communicator& comm) {
+        pattern::EnvOptions options = make_options(workload.scales, devices);
+        options.reduction_localization = localization;
+        return psf::apps::kmeans::run_framework(comm, options,
+                                                workload.params,
+                                                workload.points)
+            .vtime;
+      });
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 // the naive scheme with the same cost model (even compute + tree allreduce
 // of the full reduction array), sweeping node counts on the Moldyn
 // workload.
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -34,9 +33,7 @@ constexpr auto degree_compute = [](pattern::TypedObject<double>& obj,
 
 /// Measured per-iteration time of the paper's reduction-space scheme.
 double reduction_space_vtime(const MoldynWorkload& workload, int nodes) {
-  minimpi::World world = make_world(nodes, workload.scales);
-  std::vector<double> steady(static_cast<std::size_t>(nodes), 0.0);
-  world.run([&](minimpi::Communicator& comm) {
+  const auto steady_vtime = [&](minimpi::Communicator& comm) {
     DeviceConfig config{"", true, 2};
     pattern::RuntimeEnv env(comm, make_options(workload.scales, config));
     pattern::TypedIReduce<double, double> ir(env);
@@ -51,10 +48,9 @@ double reduction_space_vtime(const MoldynWorkload& workload, int nodes) {
       ir.update_nodedata([](double&, const double*, const void*) {});
       if (i == 0) t1 = comm.timeline().now();
     }
-    steady[static_cast<std::size_t>(comm.rank())] =
-        (comm.timeline().now() - t1) / 2.0;
-  });
-  return *std::max_element(steady.begin(), steady.end());
+    return (comm.timeline().now() - t1) / 2.0;
+  };
+  return run_cell(make_world(nodes, workload.scales), steady_vtime);
 }
 
 /// Modeled per-iteration time of naive edge partitioning: even edge split

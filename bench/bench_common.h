@@ -6,6 +6,7 @@
 // (volume quantities) and comm_scale (surface quantities). See DESIGN.md §2.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -83,6 +84,19 @@ inline minimpi::World make_world(int ranks, const AppWorkload& workload,
   world.set_byte_scale(byte_scale_override > 0.0 ? byte_scale_override
                                                  : workload.comm_scale);
   return world;
+}
+
+/// The bench cell runner: run `rank_main(comm)` on every rank of `world`
+/// and return the maximum over ranks of the vtime each rank reports (each
+/// rank measures its own region, e.g. excluding result assembly, as the
+/// paper excludes write-back).
+template <typename RankFn>
+double run_cell(minimpi::World world, RankFn&& rank_main) {
+  std::vector<double> vtimes(static_cast<std::size_t>(world.size()), 0.0);
+  world.run([&](minimpi::Communicator& comm) {
+    vtimes[static_cast<std::size_t>(comm.rank())] = rank_main(comm);
+  });
+  return *std::max_element(vtimes.begin(), vtimes.end());
 }
 
 // --- the five evaluation workloads (paper Section IV-A) ----------------------

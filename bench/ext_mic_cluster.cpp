@@ -5,7 +5,6 @@
 // new accelerator class is a calibration entry plus an offload cost model.
 // This bench runs Kmeans and Heat3D on nodes equipped with 2 GPUs, 2 MICs,
 // or both (CPU always on), at 1/8/32 nodes.
-#include <algorithm>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,21 +28,19 @@ constexpr MixConfig kMixes[] = {
 template <typename RunFn>
 double run_mix(const AppWorkload& workload, int nodes, const MixConfig& mix,
                RunFn&& run) {
-  minimpi::World world = make_world(nodes, workload);
-  std::vector<double> vtimes(static_cast<std::size_t>(nodes), 0.0);
-  world.run([&](minimpi::Communicator& comm) {
-    pattern::EnvOptions options;
-    options.app_profile = workload.name;
-    options.use_cpu = true;
-    options.use_gpus = mix.gpus;
-    options.use_mics = mix.mics;
-    options.preset.mics_per_node = 2;
-    options.workload_scale = workload.workload_scale;
-    options.comm_scale = workload.comm_scale;
-    options.node_scale = workload.node_scale;
-    vtimes[static_cast<std::size_t>(comm.rank())] = run(comm, options);
-  });
-  return *std::max_element(vtimes.begin(), vtimes.end());
+  pattern::EnvOptions options;
+  options.app_profile = workload.name;
+  options.use_cpu = true;
+  options.use_gpus = mix.gpus;
+  options.use_mics = mix.mics;
+  options.preset.mics_per_node = 2;
+  options.workload_scale = workload.workload_scale;
+  options.comm_scale = workload.comm_scale;
+  options.node_scale = workload.node_scale;
+  return run_cell(make_world(nodes, workload),
+                  [&](minimpi::Communicator& comm) {
+                    return run(comm, options);
+                  });
 }
 
 }  // namespace

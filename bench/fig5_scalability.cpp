@@ -5,7 +5,6 @@
 // For every application the harness sweeps nodes in {1..32} and device
 // mixes {12-core CPU, 1 GPU, CPU+1GPU, CPU+2GPU}, reporting the speedup
 // over a single CPU core at paper workload scale.
-#include <algorithm>
 #include <vector>
 
 #include "baselines/mpi_heat3d.h"
@@ -18,39 +17,6 @@ namespace psf::bench {
 namespace {
 
 constexpr int kCoresPerNode = 12;
-
-using FrameworkRunner = double (*)(minimpi::Communicator&,
-                                   const pattern::EnvOptions&, const void*);
-using MpiRunner = double (*)(minimpi::Communicator&, const void*, double);
-
-/// Run a framework configuration; `run` returns the per-rank measured
-/// vtime (result assembly excluded, as the paper excludes write-back).
-/// Returns the max over ranks.
-template <typename Workload, typename RunFn>
-double run_framework(const Workload& workload, int nodes,
-                     const DeviceConfig& devices, RunFn&& run) {
-  minimpi::World world = make_world(nodes, workload.scales);
-  std::vector<double> vtimes(static_cast<std::size_t>(nodes), 0.0);
-  world.run([&](minimpi::Communicator& comm) {
-    vtimes[static_cast<std::size_t>(comm.rank())] =
-        run(comm, make_options(workload.scales, devices));
-  });
-  return *std::max_element(vtimes.begin(), vtimes.end());
-}
-
-/// Run an MPI baseline (one rank per core); same measurement convention.
-template <typename Workload, typename RunFn>
-double run_mpi(const Workload& workload, int nodes, RunFn&& run,
-               double byte_scale_override = 0.0) {
-  const int ranks = nodes * kCoresPerNode;
-  minimpi::World world =
-      make_world(ranks, workload.scales, byte_scale_override);
-  std::vector<double> vtimes(static_cast<std::size_t>(ranks), 0.0);
-  world.run([&](minimpi::Communicator& comm) {
-    vtimes[static_cast<std::size_t>(comm.rank())] = run(comm);
-  });
-  return *std::max_element(vtimes.begin(), vtimes.end());
-}
 
 void print_app_table(const std::string& app_title, double seq_vtime,
                      const std::vector<std::vector<double>>& speedups,
@@ -89,10 +55,11 @@ int main() {
     std::vector<std::vector<double>> speedups(std::size(kDeviceConfigs));
     for (std::size_t c = 0; c < std::size(kDeviceConfigs); ++c) {
       for (int nodes : kNodeCounts) {
-        const double t = run_framework(
-            workload, nodes, kDeviceConfigs[c],
-            [&](psf::minimpi::Communicator& comm,
-                const psf::pattern::EnvOptions& options) {
+        const double t = run_cell(
+            make_world(nodes, workload.scales),
+            [&](psf::minimpi::Communicator& comm) {
+              const auto options =
+                  make_options(workload.scales, kDeviceConfigs[c]);
               return psf::apps::kmeans::run_framework(
                          comm, options, workload.params, workload.points)
                   .vtime;
@@ -102,8 +69,9 @@ int main() {
     }
     std::vector<double> mpi;
     for (int nodes : kNodeCounts) {
-      const double t =
-          run_mpi(workload, nodes, [&](psf::minimpi::Communicator& comm) {
+      const double t = run_cell(
+          make_world(nodes * kCoresPerNode, workload.scales),
+          [&](psf::minimpi::Communicator& comm) {
             return psf::baselines::mpi_kmeans::run(
                        comm, workload.params, workload.points,
                        workload.scales.workload_scale)
@@ -122,10 +90,11 @@ int main() {
     for (std::size_t c = 0; c < std::size(kDeviceConfigs); ++c) {
       for (int nodes : kNodeCounts) {
         auto molecules = workload.molecules;  // fresh copy per run
-        const double t = run_framework(
-            workload, nodes, kDeviceConfigs[c],
-            [&](psf::minimpi::Communicator& comm,
-                const psf::pattern::EnvOptions& options) {
+        const double t = run_cell(
+            make_world(nodes, workload.scales),
+            [&](psf::minimpi::Communicator& comm) {
+              const auto options =
+                  make_options(workload.scales, kDeviceConfigs[c]);
               // Steady-state per-iteration time x the run length: the
               // profiling iteration amortizes over the paper's 1000 steps.
               return psf::apps::moldyn::run_framework(comm, options,
@@ -150,10 +119,11 @@ int main() {
     for (std::size_t c = 0; c < std::size(kDeviceConfigs); ++c) {
       for (int nodes : kNodeCounts) {
         auto atoms = workload.fresh_atoms();
-        const double t = run_framework(
-            workload, nodes, kDeviceConfigs[c],
-            [&](psf::minimpi::Communicator& comm,
-                const psf::pattern::EnvOptions& options) {
+        const double t = run_cell(
+            make_world(nodes, workload.scales),
+            [&](psf::minimpi::Communicator& comm) {
+              const auto options =
+                  make_options(workload.scales, kDeviceConfigs[c]);
               return psf::apps::minimd::run_framework(comm, options,
                                                       workload.params, atoms)
                          .steady_vtime *
@@ -167,16 +137,15 @@ int main() {
       auto atoms = workload.fresh_atoms();
       // Mantevo MiniMD is MPI+OpenMP: one rank per node, 12 threads. Its
       // position sync ships node-count-proportional messages.
-      psf::minimpi::World world = make_world(
-          nodes, workload.scales, workload.scales.node_scale);
-      std::vector<double> vtimes(static_cast<std::size_t>(nodes), 0.0);
-      world.run([&](psf::minimpi::Communicator& comm) {
-        vtimes[static_cast<std::size_t>(comm.rank())] =
-            psf::baselines::mpi_minimd::run(comm, workload.params, atoms,
-                                            workload.scales.workload_scale)
+      const double t = run_cell(
+          make_world(nodes, workload.scales, workload.scales.node_scale),
+          [&](psf::minimpi::Communicator& comm) {
+            return psf::baselines::mpi_minimd::run(
+                       comm, workload.params, atoms,
+                       workload.scales.workload_scale)
                 .vtime;
-      });
-      mpi.push_back(seq / *std::max_element(vtimes.begin(), vtimes.end()));
+          });
+      mpi.push_back(seq / t);
     }
     print_app_table("MiniMD (irregular + generalized reductions)", seq,
                     speedups, mpi);
@@ -189,10 +158,11 @@ int main() {
     std::vector<std::vector<double>> speedups(std::size(kDeviceConfigs));
     for (std::size_t c = 0; c < std::size(kDeviceConfigs); ++c) {
       for (int nodes : kNodeCounts) {
-        const double t = run_framework(
-            workload, nodes, kDeviceConfigs[c],
-            [&](psf::minimpi::Communicator& comm,
-                const psf::pattern::EnvOptions& options) {
+        const double t = run_cell(
+            make_world(nodes, workload.scales),
+            [&](psf::minimpi::Communicator& comm) {
+              const auto options =
+                  make_options(workload.scales, kDeviceConfigs[c]);
               return psf::apps::sobel::run_framework(comm, options,
                                                      workload.params,
                                                      workload.image)
@@ -204,8 +174,9 @@ int main() {
     }
     std::vector<double> mpi;
     for (int nodes : kNodeCounts) {
-      const double t =
-          run_mpi(workload, nodes, [&](psf::minimpi::Communicator& comm) {
+      const double t = run_cell(
+          make_world(nodes * kCoresPerNode, workload.scales),
+          [&](psf::minimpi::Communicator& comm) {
             return psf::baselines::mpi_sobel::run(
                        comm, workload.params, workload.image,
                        workload.scales.workload_scale)
@@ -223,10 +194,11 @@ int main() {
     std::vector<std::vector<double>> speedups(std::size(kDeviceConfigs));
     for (std::size_t c = 0; c < std::size(kDeviceConfigs); ++c) {
       for (int nodes : kNodeCounts) {
-        const double t = run_framework(
-            workload, nodes, kDeviceConfigs[c],
-            [&](psf::minimpi::Communicator& comm,
-                const psf::pattern::EnvOptions& options) {
+        const double t = run_cell(
+            make_world(nodes, workload.scales),
+            [&](psf::minimpi::Communicator& comm) {
+              const auto options =
+                  make_options(workload.scales, kDeviceConfigs[c]);
               return psf::apps::heat3d::run_framework(comm, options,
                                                       workload.params,
                                                       workload.field)
@@ -238,8 +210,9 @@ int main() {
     }
     std::vector<double> mpi;
     for (int nodes : kNodeCounts) {
-      const double t =
-          run_mpi(workload, nodes, [&](psf::minimpi::Communicator& comm) {
+      const double t = run_cell(
+          make_world(nodes * kCoresPerNode, workload.scales),
+          [&](psf::minimpi::Communicator& comm) {
             return psf::baselines::mpi_heat3d::run(
                        comm, workload.params, workload.field,
                        workload.scales.workload_scale)

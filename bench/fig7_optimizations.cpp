@@ -14,16 +14,10 @@ namespace {
 template <typename RunFn>
 double measure(const AppWorkload& scales, int nodes, bool overlap,
                bool tiling, RunFn&& run) {
-  DeviceConfig config{"", true, 2};
-  minimpi::World world = make_world(nodes, scales);
-  std::vector<double> vtimes(static_cast<std::size_t>(nodes), 0.0);
-  world.run([&](minimpi::Communicator& comm) {
-    vtimes[static_cast<std::size_t>(comm.rank())] =
-        run(comm, make_options(scales, config, overlap, tiling));
+  const DeviceConfig config{"", true, 2};
+  return run_cell(make_world(nodes, scales), [&](minimpi::Communicator& comm) {
+    return run(comm, make_options(scales, config, overlap, tiling));
   });
-  double worst = 0.0;
-  for (double t : vtimes) worst = std::max(worst, t);
-  return worst;
 }
 
 }  // namespace

@@ -33,13 +33,12 @@ int main() {
         params, points, scales.workload_scale);
 
     DeviceConfig gpu_only{"1 GPU", false, 1};
-    psf::minimpi::World world = make_world(1, scales);
-    double framework = 0.0;
-    world.run([&](psf::minimpi::Communicator& comm) {
-      framework = psf::apps::kmeans::run_framework(
-                      comm, make_options(scales, gpu_only), params, points)
-                      .vtime;
-    });
+    const double framework = run_cell(
+        make_world(1, scales), [&](psf::minimpi::Communicator& comm) {
+          return psf::apps::kmeans::run_framework(
+                     comm, make_options(scales, gpu_only), params, points)
+              .vtime;
+        });
     print_row({"Kmeans", fmt(handwritten.vtime * 1e3, 2) + " ms",
                fmt(framework * 1e3, 2) + " ms",
                fmt((framework / handwritten.vtime - 1.0) * 100.0, 1) + "%",
@@ -65,13 +64,12 @@ int main() {
                                         scales.workload_scale);
 
     DeviceConfig gpu_only{"1 GPU", false, 1};
-    psf::minimpi::World world = make_world(1, scales);
-    double framework = 0.0;
-    world.run([&](psf::minimpi::Communicator& comm) {
-      framework = psf::apps::sobel::run_framework(
-                      comm, make_options(scales, gpu_only), params, image)
-                      .vtime;
-    });
+    const double framework = run_cell(
+        make_world(1, scales), [&](psf::minimpi::Communicator& comm) {
+          return psf::apps::sobel::run_framework(
+                     comm, make_options(scales, gpu_only), params, image)
+              .vtime;
+        });
     print_row({"Sobel", fmt(handwritten.vtime * 1e3, 2) + " ms",
                fmt(framework * 1e3, 2) + " ms",
                fmt((framework / handwritten.vtime - 1.0) * 100.0, 1) + "%",

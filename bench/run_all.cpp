@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -68,31 +67,20 @@ constexpr SweepConfig kSweepConfigs[] = {
     {"cpu+2gpu", {"CPU+2GPU", true, 2}},
 };
 
-/// Copy of run_framework from fig5_scalability (kept local: the bench
-/// binaries are independent executables).
-///
-/// Every sweep World runs with per-sub coalescing: small messages batch
-/// into pooled frames (fewer deposits, one allocation per frame) while
-/// each sub keeps the exact per-message pricing, so all vtimes stay
-/// bit-identical to the uncoalesced baseline. PSF_COALESCE still wins if
-/// set ("off" reproduces the historical transport exactly).
+/// One sweep cell: every rank runs `run` under the sweep's options (plus
+/// the --fault-plan and an optional trace); returns the max per-rank vtime.
 template <typename Workload, typename RunFn>
 double run_framework(const Workload& workload, int nodes,
                      const DeviceConfig& devices, RunFn&& run,
                      timemodel::TraceRecorder* trace = nullptr) {
   minimpi::World world = make_world(nodes, workload.scales);
-  if (std::getenv("PSF_COALESCE") == nullptr) {
-    world.set_coalescing(minimpi::CoalesceMode::kPerSub);
-  }
   world.set_trace(trace);
-  std::vector<double> vtimes(static_cast<std::size_t>(nodes), 0.0);
-  world.run([&](minimpi::Communicator& comm) {
+  return run_cell(std::move(world), [&](minimpi::Communicator& comm) {
     auto options = make_options(workload.scales, devices);
     if (trace != nullptr) options.with_trace(trace);
     if (!g_fault_plan.empty()) options.with_fault_plan(g_fault_plan);
-    vtimes[static_cast<std::size_t>(comm.rank())] = run(comm, options);
+    return run(comm, options);
   });
-  return *std::max_element(vtimes.begin(), vtimes.end());
 }
 
 template <typename Workload, typename RunFn>
@@ -366,17 +354,17 @@ int main(int argc, char** argv) {
   }
   {
     // Synthetic small-message storm: sub-threshold pooled sends from rank 0
-    // to rank 1, coalesced (kAggregate: one frame deposit + one mpi_call
-    // per flush) vs uncoalesced (one deposit + one mpi_call per message).
+    // to rank 1, coalesced (one frame deposit + one mpi_call per flush) vs
+    // the default transport (one deposit + one mpi_call per message).
     // The row's vtime is the SENDER's injection time — sends plus the final
     // flush — because the end-to-end makespan is receiver-bound (every recv
-    // pays the same mpi_call overhead in both modes). CI pins
+    // pays the same mpi_call overhead either way). CI pins
     // msgstorm_coalesced strictly below msgstorm_uncoalesced.
     constexpr int kStormMsgs = 512;
     constexpr std::size_t kStormBytes = 256;
-    auto storm_inject = [](psf::minimpi::CoalesceMode mode) {
+    auto storm_inject = [](bool coalesced) {
       psf::minimpi::World world(2);
-      world.set_coalescing(mode);
+      world.set_coalescing(coalesced);
       double inject = 0.0;
       world.run([&](psf::minimpi::Communicator& comm) {
         if (comm.rank() == 0) {
@@ -399,9 +387,7 @@ int main(int argc, char** argv) {
     double uncoalesced = 0.0;
     for (const bool coalesced : {false, true}) {
       const auto wall_begin = std::chrono::steady_clock::now();
-      const double vtime = storm_inject(coalesced
-                                            ? psf::minimpi::CoalesceMode::kAggregate
-                                            : psf::minimpi::CoalesceMode::kOff);
+      const double vtime = storm_inject(coalesced);
       BenchResult result;
       result.name = std::string(coalesced ? "msgstorm_coalesced"
                                           : "msgstorm_uncoalesced") +
@@ -422,7 +408,7 @@ int main(int argc, char** argv) {
     // (minimpi.payload_allocs == 0) while minimpi.msgs_coalesced grows —
     // both asserted by CI on the steady report.
     steady_runs.push_back([storm_inject] {
-      storm_inject(psf::minimpi::CoalesceMode::kAggregate);
+      storm_inject(/*coalesced=*/true);
     });
   }
 

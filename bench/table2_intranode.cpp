@@ -5,7 +5,6 @@
 // 1 + k * r where r is the calibrated GPU / 12-core-CPU ratio. "Actual" is
 // measured from the simulated schedule (dynamic chunking or adaptive
 // partitioning, transfers, control-thread core loss).
-#include <algorithm>
 #include <vector>
 
 #include "bench_common.h"
@@ -16,13 +15,10 @@ namespace {
 template <typename RunFn>
 double measure(const AppWorkload& scales, bool use_cpu, int use_gpus,
                RunFn&& run) {
-  DeviceConfig config{"", use_cpu, use_gpus};
-  minimpi::World world = make_world(1, scales);
-  double vtime = 0.0;
-  world.run([&](minimpi::Communicator& comm) {
-    vtime = run(comm, make_options(scales, config));
+  const DeviceConfig config{"", use_cpu, use_gpus};
+  return run_cell(make_world(1, scales), [&](minimpi::Communicator& comm) {
+    return run(comm, make_options(scales, config));
   });
-  return vtime;
 }
 
 struct Row {

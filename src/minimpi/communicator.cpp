@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -73,7 +71,6 @@ struct World::CoalesceState {
     support::PooledBuffer frame;
     std::size_t used = 0;       ///< bytes written (header + subs)
     std::uint32_t count = 0;    ///< sub-messages packed so far
-    double first_append_vtime = 0.0;
   };
   std::vector<Batch> per_dest;
   std::vector<int> active;
@@ -91,14 +88,6 @@ World::World(int size, timemodel::LinkModel network,
   }
   barrier_ = std::make_unique<BarrierState>(static_cast<std::size_t>(size));
   msg_faults_ = std::make_unique<std::atomic<MsgFaultState*>>(nullptr);
-  if (const char* env = std::getenv("PSF_COALESCE")) {
-    const std::string_view value(env);
-    if (value == "aggregate" || value == "agg") {
-      set_coalescing(CoalesceMode::kAggregate);
-    } else if (value == "1" || value == "on" || value == "subs") {
-      set_coalescing(CoalesceMode::kPerSub);
-    }
-  }
 }
 
 World::~World() {
@@ -122,18 +111,9 @@ bool World::msg_faults_enabled() const noexcept {
   return msg_fault_state() != nullptr;
 }
 
-void World::set_coalescing(CoalesceMode mode, std::size_t threshold_bytes,
-                           std::size_t max_frame_bytes) {
-  PSF_CHECK_MSG(max_frame_bytes >= sizeof(FrameHeader) +
-                                       sizeof(FrameSubHeader) +
-                                       threshold_bytes,
-                "coalescing frame capacity cannot hold one threshold-sized "
-                "message");
-  coalesce_mode_ = mode;
-  coalesce_threshold_ = threshold_bytes;
-  coalesce_max_frame_ = max_frame_bytes;
+void World::set_coalescing(bool enabled) {
   coalesce_.clear();
-  if (mode == CoalesceMode::kOff) return;
+  if (!enabled) return;
   coalesce_.reserve(static_cast<std::size_t>(size_));
   for (int r = 0; r < size_; ++r) {
     auto state = std::make_unique<CoalesceState>();
@@ -230,15 +210,90 @@ void World::set_trace(timemodel::TraceRecorder* trace) {
 
 // --- point-to-point ---------------------------------------------------------
 
+double Communicator::wire_cost(std::size_t bytes) const {
+  return world_->network_.cost(static_cast<std::size_t>(
+      static_cast<double>(bytes) * world_->byte_scale_));
+}
+
+// Fault injection (docs/RESILIENCE.md): a simulated lossy transport. One
+// seeded draw per attempt decides the wire message's fate over disjoint
+// probability ranges. Drops and corruptions charge a virtual
+// retransmission timeout + linear backoff on the sender and redraw; the
+// delivered payload is always the original bytes, so results stay
+// bit-identical to a fault-free run.
+template <typename Describe, typename DepositDamaged>
+Communicator::Fate Communicator::draw_fate(
+    World::MsgFaultState& faults, int dest, double call_begin,
+    const Describe& describe, const DepositDamaged& deposit_damaged) {
+  const fault::MsgFaultSpec& spec = faults.spec;
+  auto& rng = faults.per_rank[static_cast<std::size_t>(rank_)].rng;
+  auto& log = fault::FaultLog::current();
+  const auto log_event = [&](const char* what) {
+    if (log.enabled()) log.record(rank_, std::string(what) + " " + describe());
+  };
+  Fate fate;
+  for (;;) {
+    if (fate.retries > spec.max_retries) {
+      throw std::runtime_error(
+          "minimpi: send to rank " + std::to_string(dest) + " exhausted " +
+          std::to_string(spec.max_retries) +
+          " retransmissions under the fault plan (" + describe() + ")");
+    }
+    const double draw = rng.next_double();
+    double threshold = spec.p_drop;
+    if (draw < threshold) {
+      // Dropped in flight: the retransmission timer expires and the sender
+      // re-sends after a backoff. Nothing reaches the mailbox.
+      timeline().advance(spec.timeout_s + spec.backoff_s * fate.retries);
+      ++fate.retries;
+      PSF_METRIC_ADD("minimpi.msgs_dropped", 1);
+      PSF_METRIC_ADD("minimpi.retries", 1);
+      log_event("drop");
+      continue;
+    }
+    threshold += spec.p_corrupt;
+    if (draw < threshold) {
+      // A damaged copy reaches the receiver, which rejects it by CRC and
+      // stays silent; the sender's timer then fires as for a drop.
+      deposit_damaged();
+      timeline().advance(spec.timeout_s + spec.backoff_s * fate.retries);
+      ++fate.retries;
+      PSF_METRIC_ADD("minimpi.msgs_corrupted", 1);
+      PSF_METRIC_ADD("minimpi.retries", 1);
+      log_event("corrupt");
+      continue;
+    }
+    threshold += spec.p_dup;
+    if (draw < threshold) {
+      fate.duplicate = true;
+      PSF_METRIC_ADD("minimpi.dup_deliveries", 1);
+      log_event("dup");
+    } else if (draw < threshold + spec.p_delay) {
+      fate.extra_delay = spec.delay_s;
+      PSF_METRIC_ADD("minimpi.msgs_delayed", 1);
+      log_event("delay");
+    }
+    break;
+  }
+  if (fate.retries > 0) {
+    PSF_METRIC_ADD("fault.recoveries", 1);
+    if (world_->trace_ != nullptr) {
+      world_->trace_->record("msg retry", "fault", rank_, timemodel::kNetLane,
+                             call_begin, timeline().now());
+    }
+  }
+  return fate;
+}
+
 void Communicator::deliver(int dest, int tag,
                            support::PooledBuffer payload) {
   PSF_CHECK_MSG(dest >= 0 && dest < size(), "send to invalid rank " << dest);
   if (World::CoalesceState* coalesce = world_->coalesce_slot(rank_)) {
-    if (payload.size() <= world_->coalesce_threshold_) {
+    if (payload.size() <= kCoalesceThresholdBytes) {
       coalesce_append(*coalesce, dest, tag, std::move(payload));
       return;
     }
-    // A super-threshold send must not overtake batched smalls to the same
+    // A larger send must not overtake batched smalls to the same
     // destination (MPI non-overtaking per (source, dest)).
     coalesce_flush_dest(*coalesce, dest);
   }
@@ -252,105 +307,38 @@ void Communicator::deliver(int dest, int tag,
   const double call_begin = timeline().now();
   timeline().advance(world_->overheads_.mpi_call_s);
 
-  const auto network_cost = [this](std::size_t bytes) {
-    return world_->network_.cost(static_cast<std::size_t>(
-        static_cast<double>(bytes) * world_->byte_scale_));
-  };
-
-  // Fault injection (docs/RESILIENCE.md): a simulated lossy transport. One
-  // seeded draw per attempt decides the message's fate over disjoint
-  // probability ranges. Drops and corruptions charge a virtual
-  // retransmission timeout + linear backoff on the sender and redraw; the
-  // delivered payload is always the original bytes, so results stay
-  // bit-identical to a fault-free run. With no faults installed this whole
-  // block is skipped and the send path is byte-for-byte the old one.
+  // With no faults installed the fate draw is skipped and the message goes
+  // out unchecksummed, first time.
   std::uint32_t crc = 0;
   std::uint64_t send_seq = 0;
-  int retries = 0;
-  double extra_delay = 0.0;
-  bool duplicate = false;
-  World::MsgFaultState* faults = world_->msg_fault_state();
-  if (faults != nullptr) {
-    const fault::MsgFaultSpec& spec = faults->spec;
-    auto& mine = faults->per_rank[static_cast<std::size_t>(rank_)];
+  Fate fate;
+  if (World::MsgFaultState* faults = world_->msg_fault_state()) {
     crc = support::crc32(payload.bytes());
-    send_seq = mine.next_send_seq++;
-    auto& log = fault::FaultLog::current();
-    const auto log_event = [&](const char* what) {
-      if (log.enabled()) {
-        log.record(rank_, std::string(what) + " dest=" + std::to_string(dest) +
-                              " tag=" + std::to_string(tag) +
-                              " seq=" + std::to_string(send_seq));
-      }
-    };
-    for (;;) {
-      if (retries > spec.max_retries) {
-        throw std::runtime_error(
-            "minimpi: send to rank " + std::to_string(dest) + " exhausted " +
-            std::to_string(spec.max_retries) +
-            " retransmissions under the fault plan");
-      }
-      const double draw = mine.rng.next_double();
-      double threshold = spec.p_drop;
-      if (draw < threshold) {
-        // Dropped in flight: the retransmission timer expires and the
-        // sender re-sends after a backoff. Nothing reaches the mailbox.
-        timeline().advance(spec.timeout_s + spec.backoff_s * retries);
-        ++retries;
-        PSF_METRIC_ADD("minimpi.msgs_dropped", 1);
-        PSF_METRIC_ADD("minimpi.retries", 1);
-        log_event("drop");
-        continue;
-      }
-      threshold += spec.p_corrupt;
-      if (draw < threshold) {
-        // A damaged copy reaches the receiver, which rejects it by CRC and
-        // stays silent; the sender's timer then fires as for a drop. The
-        // bad copy carries the original CRC (that is what makes it
-        // detectable) and the same sequence number.
-        Message bad;
-        bad.source = rank_;
-        bad.tag = tag;
-        bad.crc = payload.empty() ? ~crc : crc;
-        bad.send_seq = send_seq;
-        bad.arrival_vtime = timeline().now() + network_cost(payload.size());
-        bad.payload = acquire_buffer(payload.size());
-        if (!payload.empty()) {
-          std::memcpy(bad.payload.data(), payload.data(), payload.size());
-          bad.payload.data()[0] ^= std::byte{0xFF};
-        }
-        mailbox(dest).deposit(std::move(bad));
-        timeline().advance(spec.timeout_s + spec.backoff_s * retries);
-        ++retries;
-        PSF_METRIC_ADD("minimpi.msgs_corrupted", 1);
-        PSF_METRIC_ADD("minimpi.retries", 1);
-        log_event("corrupt");
-        continue;
-      }
-      threshold += spec.p_dup;
-      if (draw < threshold) {
-        duplicate = true;
-        PSF_METRIC_ADD("minimpi.dup_deliveries", 1);
-        log_event("dup");
-        break;
-      }
-      threshold += spec.p_delay;
-      if (draw < threshold) {
-        extra_delay = spec.delay_s;
-        PSF_METRIC_ADD("minimpi.msgs_delayed", 1);
-        log_event("delay");
-        break;
-      }
-      break;
-    }
-    if (retries > 0) {
-      PSF_METRIC_ADD("fault.recoveries", 1);
-      if (world_->trace_ != nullptr) {
-        world_->trace_->record("msg retry", "fault", rank_,
-                               timemodel::kNetLane, call_begin,
-                               timeline().now());
-      }
-    }
+    send_seq = faults->per_rank[static_cast<std::size_t>(rank_)]
+                   .next_send_seq++;
+    fate = draw_fate(
+        *faults, dest, call_begin,
+        [&] {
+          return "dest=" + std::to_string(dest) +
+                 " tag=" + std::to_string(tag) +
+                 " seq=" + std::to_string(send_seq);
+        },
+        [&] {
+          // The bad copy carries the original CRC (that is what makes it
+          // detectable) and the same sequence number.
+          Message bad;
+          bad.source = rank_;
+          bad.tag = tag;
+          bad.crc = payload.empty() ? ~crc : crc;
+          bad.send_seq = send_seq;
+          bad.arrival_vtime = timeline().now() + wire_cost(payload.size());
+          bad.payload = acquire_buffer(payload.size());
+          if (!payload.empty()) {
+            std::memcpy(bad.payload.data(), payload.data(), payload.size());
+            bad.payload.data()[0] ^= std::byte{0xFF};
+          }
+          mailbox(dest).deposit(std::move(bad));
+        });
   }
 
   Message message;
@@ -359,44 +347,41 @@ void Communicator::deliver(int dest, int tag,
   message.crc = crc;
   message.send_seq = send_seq;
   message.arrival_vtime =
-      timeline().now() + extra_delay + network_cost(payload.size());
+      timeline().now() + fate.extra_delay + wire_cost(payload.size());
   message.payload = std::move(payload);
   if (world_->trace_ != nullptr) {
     // The span covers the send call itself; the message carries its id so
     // the matching receive can record the send -> recv message edge. Under
     // retries the preceding "msg retry" fault span covers the backoff time
     // and the send span degenerates to the final (instant) attempt.
-    const double send_begin = retries > 0 ? timeline().now() : call_begin;
+    const double send_begin = fate.retries > 0 ? timeline().now() : call_begin;
     message.trace_span =
         world_->trace_->record("send", "comm", rank_, timemodel::kNetLane,
                                send_begin, timeline().now());
   }
-  Message copy;
-  if (duplicate) {
-    // A second, byte-identical copy delivered right behind the first; the
-    // receiver drops it by sequence number (Mailbox::purge_duplicates).
-    // Built before the original moves into the mailbox.
-    copy.source = rank_;
-    copy.tag = tag;
-    copy.crc = crc;
-    copy.send_seq = send_seq;
-    copy.arrival_vtime = message.arrival_vtime;
-    copy.trace_span = message.trace_span;
-    copy.payload = acquire_buffer(message.payload.size());
-    if (!message.payload.empty()) {
-      std::memcpy(copy.payload.data(), message.payload.data(),
-                  message.payload.size());
-    }
-  }
-  if (duplicate) {
-    // One atomic deposit for both copies: if the receiver could retrieve
-    // the original between two separate deposits, its purge would miss the
-    // copy and the copy would rot in the mailbox past the end-of-run drain
-    // check (or worse, be read as a real message).
-    mailbox(dest).deposit_pair(std::move(message), std::move(copy));
-  } else {
+  if (!fate.duplicate) {
     mailbox(dest).deposit(std::move(message));
+    return;
   }
+  // A second, byte-identical copy delivered right behind the first; the
+  // receiver drops it by sequence number (Mailbox::purge_duplicates). One
+  // atomic deposit for both copies: if the receiver could retrieve the
+  // original between two separate deposits, its purge would miss the copy
+  // and the copy would rot in the mailbox past the end-of-run drain check
+  // (or worse, be read as a real message).
+  Message copy;
+  copy.source = rank_;
+  copy.tag = tag;
+  copy.crc = crc;
+  copy.send_seq = send_seq;
+  copy.arrival_vtime = message.arrival_vtime;
+  copy.trace_span = message.trace_span;
+  copy.payload = acquire_buffer(message.payload.size());
+  if (!message.payload.empty()) {
+    std::memcpy(copy.payload.data(), message.payload.data(),
+                message.payload.size());
+  }
+  mailbox(dest).deposit_pair(std::move(message), std::move(copy));
 }
 
 void Communicator::coalesce_append(World::CoalesceState& state, int dest,
@@ -408,49 +393,30 @@ void Communicator::coalesce_append(World::CoalesceState& state, int dest,
 
   auto& batch = state.per_dest[static_cast<std::size_t>(dest)];
   const std::size_t need = sizeof(FrameSubHeader) + payload.size();
-  if (batch.count > 0 && batch.used + need > world_->coalesce_max_frame_) {
+  if (batch.count > 0 && batch.used + need > kCoalesceFrameBytes) {
     coalesce_flush_dest(state, dest);
   }
   if (batch.count == 0) {
-    batch.frame = acquire_buffer(world_->coalesce_max_frame_);
+    batch.frame = acquire_buffer(kCoalesceFrameBytes);
     // The frame is the pooled deposit: one payload_allocs charge per FRAME.
     // (Sub payloads were charged when the caller acquired them, exactly as
-    // on the uncoalesced path; the receiver-side unpack buffers recycle
+    // for individual sends; the receiver-side unpack buffers recycle
     // through the pool and charge nothing.)
     if (batch.frame.fresh()) PSF_METRIC_ADD("minimpi.payload_allocs", 1);
     batch.used = sizeof(FrameHeader);
-    batch.first_append_vtime = timeline().now();
     state.active.push_back(dest);
   }
 
   FrameSubHeader sub;
   sub.tag = tag;
   sub.bytes = static_cast<std::uint32_t>(payload.size());
-  World::MsgFaultState* faults = world_->msg_fault_state();
-  if (faults != nullptr) {
+  if (World::MsgFaultState* faults = world_->msg_fault_state()) {
     // CRC and sender sequence are assigned at APPEND, in send order, from
     // the same per-rank counter as individual sends — the receiver's
     // accept/purge/backstop protocol is agnostic to how messages traveled.
-    auto& mine = faults->per_rank[static_cast<std::size_t>(rank_)];
     sub.crc = support::crc32(payload.bytes());
-    sub.send_seq = mine.next_send_seq++;
-  }
-  if (world_->coalesce_mode() == CoalesceMode::kPerSub) {
-    // Per-sub pricing: advance and price exactly like an individual send,
-    // so virtual times are bit-identical to the uncoalesced transport.
-    // (Under faults the arrival is recomputed at flush, when the frame's
-    // fate — and therefore the true departure time — is known.)
-    const double call_begin = timeline().now();
-    timeline().advance(world_->overheads_.mpi_call_s);
-    sub.arrival_vtime =
-        timeline().now() +
-        world_->network_.cost(static_cast<std::size_t>(
-            static_cast<double>(payload.size()) * world_->byte_scale_));
-    if (world_->trace_ != nullptr) {
-      sub.trace_span =
-          world_->trace_->record("send", "comm", rank_, timemodel::kNetLane,
-                                 call_begin, timeline().now());
-    }
+    sub.send_seq =
+        faults->per_rank[static_cast<std::size_t>(rank_)].next_send_seq++;
   }
   std::memcpy(batch.frame.data() + batch.used, &sub, sizeof(sub));
   batch.used += sizeof(sub);
@@ -467,132 +433,46 @@ void Communicator::coalesce_flush_dest(World::CoalesceState& state,
   auto& batch = state.per_dest[static_cast<std::size_t>(dest)];
   if (batch.count == 0) return;
 
-  const auto network_cost = [this](std::size_t bytes) {
-    return world_->network_.cost(static_cast<std::size_t>(
-        static_cast<double>(bytes) * world_->byte_scale_));
-  };
-  const bool aggregate =
-      world_->coalesce_mode() == CoalesceMode::kAggregate;
-  World::MsgFaultState* faults = world_->msg_fault_state();
-
+  // The frame is one wire message: one MPI call (the CrystalGPU-style task
+  // aggregation), one alpha-beta cost over its bytes and one fault fate.
+  const double call_begin = timeline().now();
+  timeline().advance(world_->overheads_.mpi_call_s);
   FrameHeader header;
   header.count = batch.count;
-  std::memcpy(batch.frame.data(), &header, sizeof(header));
   const std::span<const std::byte> frame(batch.frame.data(), batch.used);
-
-  // Re-stamp the sub-headers for one delivery attempt. Aggregate pricing
-  // gives every sub the FRAME's arrival (one alpha + aggregate-bytes beta);
-  // per-sub pricing keeps the append-time arrivals bit-identical to
-  // individual sends unless faults moved the departure time.
-  const auto stamp = [&](double delay_s, bool dup, std::uint64_t span_id) {
-    const double frame_arrival =
-        timeline().now() + delay_s + network_cost(batch.used);
-    std::size_t offset = sizeof(FrameHeader);
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      FrameSubHeader sub;
-      std::memcpy(&sub, batch.frame.data() + offset, sizeof(sub));
-      if (aggregate) {
-        sub.arrival_vtime = frame_arrival;
-        sub.trace_span = span_id;
-      } else if (faults != nullptr) {
-        sub.arrival_vtime =
-            timeline().now() + delay_s + network_cost(sub.bytes);
-      }
-      sub.flags = dup ? kFrameSubDuplicate : 0u;
-      std::memcpy(batch.frame.data() + offset, &sub, sizeof(sub));
-      offset += sizeof(sub) + sub.bytes;
-    }
+  const auto write_header = [&] {
+    std::memcpy(batch.frame.data(), &header, sizeof(header));
   };
 
-  const double call_begin = timeline().now();
-  if (aggregate) {
-    // One MPI call for the whole frame: the time model prices the
-    // aggregate (the CrystalGPU-style task-aggregation optimization).
-    timeline().advance(world_->overheads_.mpi_call_s);
+  Fate fate;
+  if (World::MsgFaultState* faults = world_->msg_fault_state()) {
+    fate = draw_fate(
+        *faults, dest, call_begin,
+        [&] {
+          return "dest=" + std::to_string(dest) +
+                 " frame_subs=" + std::to_string(batch.count);
+        },
+        [&] {
+          // The damaged frame reaches the receiver with EVERY sub corrupted
+          // (deposit_frame damages each payload under its original CRC), so
+          // each sub is CRC-rejected and the clean retransmission is
+          // accepted sub-for-sub.
+          header.arrival_vtime = timeline().now() + wire_cost(batch.used);
+          write_header();
+          mailbox(dest).deposit_frame(rank_, frame, /*corrupt=*/true);
+        });
   }
 
-  // The frame is the wire message, so the fault injector draws ONE fate
-  // per delivery attempt for the whole frame (mirroring deliver()).
-  int retries = 0;
-  double extra_delay = 0.0;
-  bool duplicate = false;
-  if (faults != nullptr) {
-    const fault::MsgFaultSpec& spec = faults->spec;
-    auto& mine = faults->per_rank[static_cast<std::size_t>(rank_)];
-    auto& log = fault::FaultLog::current();
-    const auto log_event = [&](const char* what) {
-      if (log.enabled()) {
-        log.record(rank_, std::string(what) +
-                              " dest=" + std::to_string(dest) +
-                              " frame_subs=" + std::to_string(batch.count));
-      }
-    };
-    for (;;) {
-      if (retries > spec.max_retries) {
-        throw std::runtime_error(
-            "minimpi: coalesced frame to rank " + std::to_string(dest) +
-            " exhausted " + std::to_string(spec.max_retries) +
-            " retransmissions under the fault plan");
-      }
-      const double draw = mine.rng.next_double();
-      double threshold = spec.p_drop;
-      if (draw < threshold) {
-        timeline().advance(spec.timeout_s + spec.backoff_s * retries);
-        ++retries;
-        PSF_METRIC_ADD("minimpi.msgs_dropped", 1);
-        PSF_METRIC_ADD("minimpi.retries", 1);
-        log_event("drop");
-        continue;
-      }
-      threshold += spec.p_corrupt;
-      if (draw < threshold) {
-        // The damaged frame reaches the receiver with EVERY sub corrupted
-        // (deposit_frame damages each payload under its original CRC), so
-        // each sub is CRC-rejected and the clean retransmission below is
-        // accepted sub-for-sub.
-        stamp(0.0, /*dup=*/false, 0);
-        mailbox(dest).deposit_frame(rank_, frame, /*corrupt=*/true);
-        timeline().advance(spec.timeout_s + spec.backoff_s * retries);
-        ++retries;
-        PSF_METRIC_ADD("minimpi.msgs_corrupted", 1);
-        PSF_METRIC_ADD("minimpi.retries", 1);
-        log_event("corrupt");
-        continue;
-      }
-      threshold += spec.p_dup;
-      if (draw < threshold) {
-        duplicate = true;
-        PSF_METRIC_ADD("minimpi.dup_deliveries", 1);
-        log_event("dup");
-        break;
-      }
-      threshold += spec.p_delay;
-      if (draw < threshold) {
-        extra_delay = spec.delay_s;
-        PSF_METRIC_ADD("minimpi.msgs_delayed", 1);
-        log_event("delay");
-        break;
-      }
-      break;
-    }
-    if (retries > 0) {
-      PSF_METRIC_ADD("fault.recoveries", 1);
-      if (world_->trace_ != nullptr) {
-        world_->trace_->record("msg retry", "fault", rank_,
-                               timemodel::kNetLane, call_begin,
-                               timeline().now());
-      }
-    }
-  }
-
-  std::uint64_t span_id = 0;
-  if (aggregate && world_->trace_ != nullptr) {
-    const double send_begin = retries > 0 ? timeline().now() : call_begin;
-    span_id =
+  header.arrival_vtime =
+      timeline().now() + fate.extra_delay + wire_cost(batch.used);
+  header.flags = fate.duplicate ? kFrameDuplicate : 0u;
+  if (world_->trace_ != nullptr) {
+    const double send_begin = fate.retries > 0 ? timeline().now() : call_begin;
+    header.trace_span =
         world_->trace_->record("send", "comm", rank_, timemodel::kNetLane,
                                send_begin, timeline().now());
   }
-  stamp(extra_delay, duplicate, span_id);
+  write_header();
   mailbox(dest).deposit_frame(rank_, frame, /*corrupt=*/false);
   PSF_METRIC_ADD("minimpi.frames_sent", 1);
   PSF_METRIC_ADD("minimpi.msgs_coalesced", batch.count);
@@ -915,22 +795,12 @@ void Communicator::reduce_bytes(
 
 std::vector<std::vector<std::byte>> Communicator::alltoallv(
     const std::vector<std::vector<std::byte>>& outbound, int tag) {
-  std::vector<std::vector<std::byte>> inbound;
-  alltoallv(outbound, tag, inbound);
-  return inbound;
-}
-
-void Communicator::alltoallv(
-    const std::vector<std::vector<std::byte>>& outbound, int tag,
-    std::vector<std::vector<std::byte>>& inbound) {
   PSF_CHECK_MSG(outbound.size() == static_cast<std::size_t>(size()),
                 "alltoallv needs one outbound buffer per rank");
   const int n = size();
-  // assign() reuses each slot's existing capacity, so a caller that keeps
-  // `inbound` across iterations pays no allocations in the steady state.
-  inbound.resize(static_cast<std::size_t>(n));
-  const auto& self = outbound[static_cast<std::size_t>(rank_)];
-  inbound[static_cast<std::size_t>(rank_)].assign(self.begin(), self.end());
+  std::vector<std::vector<std::byte>> inbound(static_cast<std::size_t>(n));
+  inbound[static_cast<std::size_t>(rank_)] =
+      outbound[static_cast<std::size_t>(rank_)];
 
   // Post all sends first (buffered, non-blocking), then receive n-1
   // messages from distinct sources.
@@ -945,6 +815,7 @@ void Communicator::alltoallv(
     inbound[static_cast<std::size_t>(source)].assign(payload.begin(),
                                                      payload.end());
   }
+  return inbound;
 }
 
 }  // namespace psf::minimpi

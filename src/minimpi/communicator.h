@@ -26,18 +26,15 @@ namespace psf::minimpi {
 
 class Communicator;
 
-/// How sender-side small-message coalescing prices the batched frame.
-///
-/// kPerSub keeps virtual times BIT-IDENTICAL to uncoalesced sends: every
-/// appended sub-message is priced exactly like an individual send (one
-/// mpi_call_s advance, its own network cost from the append-time clock);
-/// only the functional transport batches. kAggregate prices the frame as
-/// one wire message at flush time — one mpi_call_s for the whole frame,
-/// one alpha-beta network cost over the aggregate bytes shared by every
-/// sub — which is the paper-faithful "aggregate the tiny per-neighbor
-/// messages" optimization and strictly cheaper whenever a batch holds
-/// more than one message.
-enum class CoalesceMode { kOff, kPerSub, kAggregate };
+/// Sender-side small-message coalescing (World::set_coalescing): payloads
+/// of at most kCoalesceThresholdBytes batch per destination into one pooled
+/// frame of kCoalesceFrameBytes.
+inline constexpr std::size_t kCoalesceThresholdBytes = 4096;
+inline constexpr std::size_t kCoalesceFrameBytes = 65536;
+static_assert(kCoalesceFrameBytes >= sizeof(FrameHeader) +
+                                         sizeof(FrameSubHeader) +
+                                         kCoalesceThresholdBytes,
+              "a coalescing frame must hold one threshold-sized message");
 
 /// A cluster of `size` ranks living in one process. `run` launches one
 /// thread per rank executing `rank_main(comm)` SPMD-style, and joins them.
@@ -91,22 +88,18 @@ class World {
   void set_byte_scale(double scale) noexcept { byte_scale_ = scale; }
   [[nodiscard]] double byte_scale() const noexcept { return byte_scale_; }
 
-  /// Enable sender-side small-message coalescing: payloads of at most
-  /// `threshold_bytes` batch per destination into one pooled frame
-  /// (capacity `max_frame_bytes`) instead of depositing individually, and
-  /// flush at the natural boundaries — before any potentially-blocking
-  /// receive/probe/wait/barrier, before a super-threshold send to the same
+  /// Opt-in sender-side small-message batching (CrystalGPU-style task
+  /// aggregation): payloads of at most kCoalesceThresholdBytes batch per
+  /// destination into one pooled frame instead of being sent one by one,
+  /// and flush at the natural boundaries — before any potentially-blocking
+  /// receive/probe/wait/barrier, before a larger send to the same
   /// destination (MPI non-overtaking), when the frame fills, and at the end
-  /// of the rank main function. See CoalesceMode for pricing. Call before
-  /// run(); the `PSF_COALESCE` environment variable ("subs" / "aggregate" /
-  /// "off") is the no-code-change equivalent. Default off: transports with
-  /// per-message expectations (fault-injection unit tests) see the exact
-  /// pre-coalescing behavior.
-  void set_coalescing(CoalesceMode mode, std::size_t threshold_bytes = 4096,
-                      std::size_t max_frame_bytes = 65536);
-  [[nodiscard]] CoalesceMode coalesce_mode() const noexcept {
-    return coalesce_mode_;
-  }
+  /// of the rank main function. A frame is one wire message: one
+  /// mpi_call_s, one alpha-beta network cost over the frame's bytes and one
+  /// fault fate, shared by every sub, so it is strictly cheaper than
+  /// individual sends whenever a frame holds more than one message. Call
+  /// before run(). Off by default: every message is its own send.
+  void set_coalescing(bool enabled);
 
   /// Install message-fault injection (drop/corrupt/duplicate/delay, see
   /// fault::MsgFaultSpec) on every send in this World. Thread-safe and
@@ -150,9 +143,6 @@ class World {
   /// Installed-once fault state; behind a heap holder so World stays
   /// movable (atomics are not). Owned: deleted in ~World.
   std::unique_ptr<std::atomic<MsgFaultState*>> msg_faults_;
-  CoalesceMode coalesce_mode_ = CoalesceMode::kOff;
-  std::size_t coalesce_threshold_ = 4096;
-  std::size_t coalesce_max_frame_ = 65536;
   /// One per-destination batch table per rank (empty when coalescing is
   /// off); slot r is private to rank r's thread.
   std::vector<std::unique_ptr<CoalesceState>> coalesce_;
@@ -210,11 +200,6 @@ class Communicator {
   /// delivery itself is zero-copy — use recv_any to keep the pooled
   /// payload and skip even that copy).
   MessageInfo recv(int source, int tag, std::span<std::byte> out);
-
-  /// Alias for recv() emphasizing the copy-once contract.
-  MessageInfo recv_into(int source, int tag, std::span<std::byte> out) {
-    return recv(source, tag, out);
-  }
 
   /// Blocking receive of a message of unknown size. Zero-copy: the returned
   /// Message owns the pooled payload the sender packed; it returns to the
@@ -333,12 +318,6 @@ class Communicator {
   std::vector<std::vector<std::byte>> alltoallv(
       const std::vector<std::vector<std::byte>>& outbound, int tag);
 
-  /// Reusing variant: fills `inbound` in place, assigning into whatever
-  /// capacity the caller's vectors already hold. Pass the same `inbound`
-  /// across iterations for an allocation-free steady state.
-  void alltoallv(const std::vector<std::vector<std::byte>>& outbound, int tag,
-                 std::vector<std::vector<std::byte>>& inbound);
-
   /// Type-erased tree reduction (implementation detail of reduce<T>):
   /// `combine(src)` folds one received buffer, laid out like `data`, into
   /// `data`; it is called once per child message.
@@ -353,14 +332,32 @@ class Communicator {
 
   void deliver(int dest, int tag, support::PooledBuffer payload);
   void consume(const Message& message);
+  /// Network cost of `bytes` on the wire, priced at the World's byte scale.
+  [[nodiscard]] double wire_cost(std::size_t bytes) const;
 
-  /// Append a sub-threshold payload to the destination's frame (coalescing
-  /// enabled). Under CoalesceMode::kPerSub the message is priced here,
-  /// identically to an individual send.
+  /// What the fault injector decided for one wire message (a single send
+  /// or a coalesced frame) once any drop/corrupt retransmissions are done.
+  struct Fate {
+    int retries = 0;
+    double extra_delay = 0.0;
+    bool duplicate = false;
+  };
+  /// Draw `dest`'s wire message fate from this rank's seeded stream: drops
+  /// and corruptions charge a retransmission timeout plus linear backoff
+  /// and redraw (a corruption first calls `deposit_damaged()` to hand the
+  /// receiver the damaged copy); a duplicate or delay ends the draw.
+  /// `describe()` names the message in FaultLog records.
+  template <typename Describe, typename DepositDamaged>
+  Fate draw_fate(World::MsgFaultState& faults, int dest, double call_begin,
+                 const Describe& describe,
+                 const DepositDamaged& deposit_damaged);
+
+  /// Append a payload of at most kCoalesceThresholdBytes to the
+  /// destination's frame (coalescing enabled).
   void coalesce_append(World::CoalesceState& state, int dest, int tag,
                        support::PooledBuffer payload);
-  /// Price (kAggregate), apply the frame-level fault fate and deposit the
-  /// destination's batch, if any.
+  /// Price, draw the fault fate of and deposit the destination's frame, if
+  /// it holds any message.
   void coalesce_flush_dest(World::CoalesceState& state, int dest);
 
   /// retrieve() plus the fault-era receiver protocol: wall-clock deadline

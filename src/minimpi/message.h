@@ -83,34 +83,36 @@ struct Message {
 };
 
 /// Wire format of a coalesced small-message frame (sender-side batching,
-/// see Communicator). A frame is one pooled buffer holding
+/// see World::set_coalescing). A frame is one pooled buffer holding
 ///
 ///   [FrameHeader][FrameSubHeader][payload]...[FrameSubHeader][payload]
 ///
 /// Sub-messages are packed back-to-back in send order; headers are written
 /// and read with memcpy, so no alignment is required inside the frame. The
-/// receiver-side unpack (`Mailbox::deposit_frame`) turns every sub back
-/// into an individual Message, preserving per-(source, tag) FIFO order and
+/// frame is one wire message, so its arrival, send span and duplicate fate
+/// live in the FrameHeader and are shared by every sub. The receiver-side
+/// unpack (`Mailbox::deposit_frame`) turns every sub back into an
+/// individual Message, preserving per-(source, tag) FIFO order and
 /// assigning consecutive deposit sequence numbers so wildcard matching sees
 /// the same earliest-first order as individual deposits.
 struct FrameHeader {
-  std::uint32_t count = 0;     ///< number of sub-messages in the frame
-  std::uint32_t reserved = 0;  ///< keeps the payload area 8-byte offset
+  std::uint32_t count = 0;      ///< number of sub-messages in the frame
+  std::uint32_t flags = 0;      ///< kFrameDuplicate
+  double arrival_vtime = 0.0;   ///< priced arrival at the receiver
+  std::uint64_t trace_span = 0; ///< send span id (0 = tracing off)
 };
 
 struct FrameSubHeader {
   std::uint64_t send_seq = 0;   ///< sender fault-era sequence (0 = none)
-  std::uint64_t trace_span = 0; ///< send span id (0 = tracing off)
-  double arrival_vtime = 0.0;   ///< priced arrival at the receiver
   std::int32_t tag = 0;
   std::uint32_t bytes = 0;      ///< payload bytes following this header
   std::uint32_t crc = 0;        ///< CRC-32 under fault injection (0 = none)
-  std::uint32_t flags = 0;      ///< kFrameSubDuplicate
+  std::uint32_t reserved = 0;   ///< keeps the payload 8-byte offset
 };
 
-/// flags bit: deposit a second, byte-identical copy right behind the sub
-/// (the fault injector's duplicate-delivery fate, applied frame-wide).
-inline constexpr std::uint32_t kFrameSubDuplicate = 1u << 0;
+/// flags bit: deposit a second, byte-identical copy right behind every sub
+/// (the fault injector's duplicate-delivery fate for the frame).
+inline constexpr std::uint32_t kFrameDuplicate = 1u << 0;
 
 /// Debug builds enforce the single-consumer contract instead of silently
 /// relying on it: at most one thread may block in retrieve/retrieve_for on
@@ -200,8 +202,9 @@ class Mailbox {
     FrameHeader header;
     PSF_CHECK_MSG(frame.size() >= sizeof(header), "coalesced frame truncated");
     std::memcpy(&header, frame.data(), sizeof(header));
+    const bool duplicate = (header.flags & kFrameDuplicate) != 0;
     std::vector<Message> staged;
-    staged.reserve(header.count * 2);
+    staged.reserve(duplicate ? header.count * 2 : header.count);
     std::size_t offset = sizeof(header);
     for (std::uint32_t i = 0; i < header.count; ++i) {
       FrameSubHeader sub;
@@ -214,8 +217,8 @@ class Mailbox {
       Message message;
       message.source = source;
       message.tag = sub.tag;
-      message.arrival_vtime = sub.arrival_vtime;
-      message.trace_span = sub.trace_span;
+      message.arrival_vtime = header.arrival_vtime;
+      message.trace_span = header.trace_span;
       message.crc = sub.crc;
       message.send_seq = sub.send_seq;
       message.payload = support::BufferPool::global().acquire(sub.bytes);
@@ -226,7 +229,6 @@ class Mailbox {
         message.crc = ~message.crc;
       }
       offset += sub.bytes;
-      const bool duplicate = (sub.flags & kFrameSubDuplicate) != 0;
       if (duplicate) {
         Message copy;
         copy.source = message.source;

@@ -108,6 +108,8 @@ void StencilReduce::configure_object(std::size_t capacity,
 }
 
 support::Status StencilReduce::validate() const {
+  // A failed init() built no devices; nothing below may run.
+  PSF_RETURN_IF_ERROR(env_->init());
   if (emit_ == nullptr) {
     return support::Status::invalid_argument(
         "stencil_reduce: no per-cell emit registered — call set_cell_emit() "
@@ -400,6 +402,7 @@ support::Status PatternGraph::compile() {
 }
 
 support::Status PatternGraph::run(int rounds) {
+  PSF_RETURN_IF_ERROR(env_->init());
   PSF_RETURN_IF_ERROR(compile());
   if (rounds <= 0) {
     return support::Status::invalid_argument(

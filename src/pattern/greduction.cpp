@@ -60,6 +60,8 @@ void GReductionRuntime::configure_object(std::size_t capacity,
 }
 
 support::Status GReductionRuntime::validate() const {
+  // A failed init() built no devices; nothing below may run.
+  PSF_RETURN_IF_ERROR(env_->init());
   if (emit_ == nullptr || reduce_ == nullptr) {
     return support::Status::failed_precondition(
         "generalized reduction: emit/reduce functions not set");

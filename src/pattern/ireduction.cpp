@@ -94,6 +94,8 @@ void IReductionRuntime::reset_edges(const Edge* edges, std::size_t num_edges,
 }
 
 support::Status IReductionRuntime::validate() const {
+  // A failed init() built no devices; nothing below may run.
+  PSF_RETURN_IF_ERROR(env_->init());
   if (edge_compute_ == nullptr || node_reduce_ == nullptr) {
     return support::Status::failed_precondition(
         "irregular reduction: compute/reduce functions not set");

@@ -97,6 +97,8 @@ void StencilRuntime::set_grid(const void* global_grid, std::size_t elem_bytes,
 }
 
 support::Status StencilRuntime::validate() const {
+  // A failed init() built no devices; nothing below may run.
+  PSF_RETURN_IF_ERROR(env_->init());
   if (kernel_ == nullptr) {
     return support::Status::failed_precondition(
         "stencil: stencil kernel not set");

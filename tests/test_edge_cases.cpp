@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "pattern/api.h"
+#include "pattern/compose.h"
 #include "pattern/typed.h"
 
 namespace psf::pattern {
@@ -216,6 +217,63 @@ TEST(EdgeCases, StencilZeroIterations) {
     st.write_back(out);
   });
   EXPECT_EQ(out, grid);
+}
+
+// --- failed initialization ---------------------------------------------------------
+
+constexpr auto cell_emit = [](TypedObject<double>& obj,
+                              const GridView<double, 2>& /*old_grid*/,
+                              const GridView<double, 2>& new_grid,
+                              const int* c, const void* /*parameter*/) {
+  obj.insert(0, new_grid(c[0], c[1]));
+};
+
+TEST(EdgeCases, FailedInitSurfacesInitStatusFromEveryPattern) {
+  // Only GPU and MIC devices may be lost, so this plan fails init() and
+  // the env builds no devices: every pattern entry point must hand back
+  // the init Status instead of touching a device that does not exist.
+  const std::vector<std::uint32_t> units(16, 0);
+  std::vector<double> nodes(8, 0.0);
+  const std::vector<Edge> edges{{0, 1}, {2, 3}};
+  const std::vector<double> grid(64, 1.0);
+  minimpi::World world(2);
+  world.run([&](minimpi::Communicator& comm) {
+    EnvOptions options = cpu_options();
+    options.fault_plan = "device:*.cpu0@iter=2";
+    RuntimeEnv env(comm, options);
+    const support::Status init = env.init();
+    ASSERT_FALSE(init.is_ok());
+    const auto expect_init = [&](const support::Status& status,
+                                 const char* entry) {
+      EXPECT_EQ(status.code(), init.code()) << entry;
+      EXPECT_EQ(status.message(), init.message()) << entry;
+    };
+
+    TypedGReduce<std::uint32_t, double> gr(env);
+    configure_count(gr, units, 4);
+    expect_init(gr.start(), "TypedGReduce::start");
+
+    TypedIReduce<double, double> ir(env);
+    configure_degrees(ir, nodes, edges);
+    expect_init(ir.start(), "TypedIReduce::start");
+
+    TypedStencil<double, 2> st(env);
+    st.set_stencil(copy_cell);
+    st.set_grid(grid, {8, 8});
+    expect_init(st.run(1), "TypedStencil::run");
+
+    TypedStencilReduce<double, 2, double> sr(env);
+    sr.set_stencil(copy_cell);
+    sr.set_emit(cell_emit);
+    sr.set_combine(sum_reduce);
+    sr.set_grid(grid, {8, 8});
+    sr.configure(1);
+    expect_init(sr.run(1), "TypedStencilReduce::run");
+
+    PatternGraph graph(env);
+    ASSERT_TRUE(graph.add_stage("count", gr).is_ok());
+    expect_init(graph.run(), "PatternGraph::run");
+  });
 }
 
 // --- minimpi ---------------------------------------------------------------------

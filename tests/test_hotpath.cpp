@@ -1,9 +1,9 @@
 // PSF — hot-path performance features (docs/PERFORMANCE.md):
 //
-//   * small-message coalescing — sub-threshold sends batch per destination
-//     into one pooled frame; kPerSub pricing keeps virtual times
-//     bit-identical while kAggregate prices the frame as one wire message
-//     (strictly cheaper on message storms). FIFO/wildcard order and the
+//   * small-message coalescing — opt-in: sub-threshold sends batch per
+//     destination into one pooled frame priced as one wire message
+//     (strictly cheaper on message storms than the default transport,
+//     which sends each message on its own). FIFO/wildcard order and the
 //     fault-injection protocol (CRC + retransmission + dedup) must hold
 //     for frames exactly as for individual messages.
 //   * double-buffered stream pipelines — devsim::StreamPipeline overlaps
@@ -48,17 +48,16 @@ struct StormRun {
   /// Sender's virtual time to inject the whole storm (send phase + flush).
   /// This is what coalescing optimizes: the per-message mpi_call overhead
   /// on the injecting rank. The end-to-end makespan is receiver-bound
-  /// (every recv still pays its own call overhead) in both modes.
+  /// (every recv still pays its own call overhead) with or without coalescing.
   double inject_vtime = 0.0;
   bool payloads_ok = true;
 };
 
 /// 2-rank storm: rank 0 sends `count` small messages to rank 1, which
 /// receives them in order and verifies content (per-(source,tag) FIFO).
-StormRun run_storm(minimpi::CoalesceMode mode, int count,
-                   std::size_t msg_bytes) {
+StormRun run_storm(bool coalesced, int count, std::size_t msg_bytes) {
   minimpi::World world(2);
-  world.set_coalescing(mode);
+  world.set_coalescing(coalesced);
   StormRun run;
   std::vector<double> now(2, 0.0);
   world.run([&](minimpi::Communicator& comm) {
@@ -86,42 +85,28 @@ StormRun run_storm(minimpi::CoalesceMode mode, int count,
   return run;
 }
 
-TEST(HotpathCoalesce, PerSubStormPricesBitIdenticallyToOff) {
-  const auto off = run_storm(minimpi::CoalesceMode::kOff, 96, 256);
-  const std::uint64_t coalesced_before =
-      counter_value("minimpi.msgs_coalesced");
-  const auto persub = run_storm(minimpi::CoalesceMode::kPerSub, 96, 256);
-  EXPECT_TRUE(off.payloads_ok);
-  EXPECT_TRUE(persub.payloads_ok);
-  // kPerSub batches the functional transport but prices every sub like an
-  // individual send: virtual times must not move at all.
-  EXPECT_DOUBLE_EQ(persub.inject_vtime, off.inject_vtime);
-  EXPECT_DOUBLE_EQ(persub.makespan, off.makespan);
-  EXPECT_GT(counter_value("minimpi.msgs_coalesced"), coalesced_before);
-}
-
 TEST(HotpathCoalesce, AggregateStormInjectsAtLeastTwiceAsFast) {
-  const auto off = run_storm(minimpi::CoalesceMode::kOff, 128, 256);
-  const auto agg = run_storm(minimpi::CoalesceMode::kAggregate, 128, 256);
+  const auto off = run_storm(/*coalesced=*/false, 128, 256);
+  const auto agg = run_storm(/*coalesced=*/true, 128, 256);
   EXPECT_TRUE(off.payloads_ok);
   EXPECT_TRUE(agg.payloads_ok);
   // One mpi_call per frame instead of per message: the sender's injection
-  // time collapses (ISSUE acceptance: >= 2x on sub-KiB storms).
+  // time collapses (>= 2x on sub-KiB storms).
   EXPECT_LT(agg.inject_vtime * 2.0, off.inject_vtime);
-  // End-to-end the receiver's per-recv call overhead dominates both modes,
-  // so the makespan stays in the same ballpark (equal up to FP noise from
-  // the different merge order) — the frame never hurts.
+  // End-to-end the receiver's per-recv call overhead dominates both
+  // transports, so the makespan stays in the same ballpark (equal up to FP
+  // noise from the different merge order) — the frame never hurts.
   EXPECT_NEAR(agg.makespan, off.makespan, off.makespan * 1e-6);
 }
 
 TEST(HotpathCoalesce, FramesAllocateOncePerFrameNotPerSub) {
   // Warm the pool so payload_allocs counts only genuinely fresh buffers
   // (the steady-state contract validate_metrics.py --assert-zero pins).
-  (void)run_storm(minimpi::CoalesceMode::kAggregate, 64, 256);
+  (void)run_storm(/*coalesced=*/true, 64, 256);
   const std::uint64_t allocs_before = counter_value("minimpi.payload_allocs");
   const std::uint64_t frames_before = counter_value("minimpi.frames_sent");
   const std::uint64_t subs_before = counter_value("minimpi.msgs_coalesced");
-  (void)run_storm(minimpi::CoalesceMode::kAggregate, 64, 256);
+  (void)run_storm(/*coalesced=*/true, 64, 256);
   const std::uint64_t allocs =
       counter_value("minimpi.payload_allocs") - allocs_before;
   const std::uint64_t frames =
@@ -138,10 +123,9 @@ TEST(HotpathCoalesce, FramesAllocateOncePerFrameNotPerSub) {
 }
 
 TEST(HotpathCoalesce, InterleavedTagsKeepFifoAndWildcardOrder) {
-  for (const auto mode : {minimpi::CoalesceMode::kPerSub,
-                          minimpi::CoalesceMode::kAggregate}) {
+  for (const bool coalesced : {false, true}) {
     minimpi::World world(2);
-    world.set_coalescing(mode);
+    world.set_coalescing(coalesced);
     std::vector<int> wildcard_tags;
     std::vector<int> per_tag_values;
     world.run([&](minimpi::Communicator& comm) {
@@ -168,11 +152,11 @@ TEST(HotpathCoalesce, InterleavedTagsKeepFifoAndWildcardOrder) {
     });
     for (int i = 0; i < 8; ++i) {
       EXPECT_EQ(per_tag_values[static_cast<std::size_t>(i)], i)
-          << "per-tag FIFO broke at " << i;
+          << "per-tag FIFO broke at " << i << " coalesced " << coalesced;
     }
     for (int i = 0; i < 6; ++i) {
       EXPECT_EQ(wildcard_tags[static_cast<std::size_t>(i)], 100 + i)
-          << "wildcard order broke at " << i;
+          << "wildcard order broke at " << i << " coalesced " << coalesced;
     }
   }
 }
@@ -186,7 +170,7 @@ pattern::EnvOptions hybrid_options(const std::string& profile) {
   return options;
 }
 
-apps::heat3d::Result run_heat3d(minimpi::CoalesceMode mode,
+apps::heat3d::Result run_heat3d(bool coalesced,
                                 const std::string& fault_plan,
                                 const pattern::EnvOptions& options,
                                 int ranks = 2, int threads = 0) {
@@ -195,7 +179,7 @@ apps::heat3d::Result run_heat3d(minimpi::CoalesceMode mode,
   params.iterations = 4;
   const auto field = apps::heat3d::generate_field(params);
   minimpi::World world(ranks);
-  world.set_coalescing(mode);
+  world.set_coalescing(coalesced);
   apps::heat3d::Result result;
   world.run([&](minimpi::Communicator& comm) {
     auto opts = options;
@@ -207,37 +191,26 @@ apps::heat3d::Result run_heat3d(minimpi::CoalesceMode mode,
   return result;
 }
 
-TEST(HotpathCoalesce, Heat3dPerSubVtimesAndFieldBitIdentical) {
-  const auto options = hybrid_options("heat3d");
-  const auto off = run_heat3d(minimpi::CoalesceMode::kOff, "", options);
-  const auto persub = run_heat3d(minimpi::CoalesceMode::kPerSub, "", options);
-  EXPECT_DOUBLE_EQ(persub.vtime, off.vtime);
-  EXPECT_DOUBLE_EQ(persub.checksum, off.checksum);
-  ASSERT_EQ(persub.field.size(), off.field.size());
-  for (std::size_t i = 0; i < off.field.size(); ++i) {
-    ASSERT_EQ(persub.field[i], off.field[i]) << "cell " << i;
-  }
-}
-
 TEST(HotpathCoalesce, CoalescedTransportSurvivesFaultMatrix) {
   const auto options = hybrid_options("heat3d");
-  const auto clean = run_heat3d(minimpi::CoalesceMode::kOff, "", options);
-  // Drop, corrupt and duplicate whole frames: CRC rejects every damaged
-  // sub, retransmission resends the frame, dedup absorbs the copies.
+  const auto clean = run_heat3d(/*coalesced=*/false, "", options);
+  // Drop, corrupt and duplicate single messages and whole frames: CRC
+  // rejects every damaged copy, retransmission resends the message or
+  // frame, dedup absorbs the copies.
   const char* plan = "msg_drop:p=0.2,corrupt=0.15,dup=0.15,seed=5";
-  for (const auto mode : {minimpi::CoalesceMode::kPerSub,
-                          minimpi::CoalesceMode::kAggregate}) {
+  for (const bool coalesced : {false, true}) {
     const std::uint64_t retries = counter_value("minimpi.retries");
-    const auto faulty = run_heat3d(mode, plan, options);
+    const auto faulty = run_heat3d(coalesced, plan, options);
     EXPECT_GT(counter_value("minimpi.retries"), retries);
     ASSERT_EQ(faulty.field.size(), clean.field.size());
     for (std::size_t i = 0; i < clean.field.size(); ++i) {
-      ASSERT_EQ(faulty.field[i], clean.field[i]) << "cell " << i;
+      ASSERT_EQ(faulty.field[i], clean.field[i])
+          << "cell " << i << " coalesced " << coalesced;
     }
     // Faulty transport costs virtual time, never correctness.
     EXPECT_GE(faulty.vtime, clean.vtime);
     // Same seed, same schedule: the retry tax is deterministic.
-    const auto again = run_heat3d(mode, plan, options);
+    const auto again = run_heat3d(coalesced, plan, options);
     EXPECT_DOUBLE_EQ(again.vtime, faulty.vtime);
   }
 }
@@ -311,8 +284,8 @@ TEST(HotpathPipeline, Heat3dOverlapPipelineBeatsNoOverlapAtTwoRanks) {
   off_options.overlap = false;
   off_options.stream_pipeline = false;
 
-  const auto fast = run_heat3d(minimpi::CoalesceMode::kOff, "", on);
-  const auto slow = run_heat3d(minimpi::CoalesceMode::kOff, "", off_options);
+  const auto fast = run_heat3d(/*coalesced=*/false, "", on);
+  const auto slow = run_heat3d(/*coalesced=*/false, "", off_options);
   EXPECT_LT(fast.vtime, slow.vtime);
   ASSERT_EQ(fast.field.size(), slow.field.size());
   for (std::size_t i = 0; i < slow.field.size(); ++i) {
@@ -456,10 +429,8 @@ TEST(HotpathWidth, AllLegsOnBitIdenticalAcrossExecutorWidths) {
   auto options = hybrid_options("heat3d");
   options.overlap = true;
   options.stream_pipeline = true;
-  const auto w1 =
-      run_heat3d(minimpi::CoalesceMode::kPerSub, "", options, 2, 1);
-  const auto w7 =
-      run_heat3d(minimpi::CoalesceMode::kPerSub, "", options, 2, 7);
+  const auto w1 = run_heat3d(/*coalesced=*/true, "", options, 2, 1);
+  const auto w7 = run_heat3d(/*coalesced=*/true, "", options, 2, 7);
   EXPECT_DOUBLE_EQ(w1.vtime, w7.vtime);
   EXPECT_DOUBLE_EQ(w1.checksum, w7.checksum);
   ASSERT_EQ(w1.field.size(), w7.field.size());
